@@ -17,7 +17,6 @@
 #include "harness/journal.hpp"
 #include "io/registry.hpp"
 #include "kernels/mttkrp.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -213,42 +212,24 @@ sanitize_tag(const std::string& name)
     return tag;
 }
 
-/// Total occurrence count of one label key in a snapshot.
-std::uint64_t
-label_count(const obs::CountersSnapshot& snap, const char* key)
-{
-    for (const auto& label : snap.labels) {
-        if (label.key != key)
-            continue;
-        std::uint64_t total = 0;
-        for (const auto& kv : label.counts)
-            total += kv.second;
-        return total;
-    }
-    return 0;
-}
-
-/// The variant label this trial exercised: the highest-priority label
-/// key whose occurrence count grew during the trial.  Comparing counts
-/// (not last values) keeps a stale label from a previous trial out.
-/// When the trial also stamped a SIMD dispatch decision, the ISA is
-/// appended as a suffix ("atomic_avx2"); trials whose only decision was
-/// the SIMD path (TTV, TTM, TEW) report the bare ISA.
+/// The variant this trial exercised: the highest-priority decision
+/// label that was taken during the trial (see obs::window_label).  When
+/// the trial also stamped a SIMD dispatch decision, the ISA is appended
+/// as a suffix ("atomic_avx2"); trials whose only decision was the SIMD
+/// path (TTV, TTM, TEW) report the bare ISA.
 std::string
-trial_variant(const obs::CountersSnapshot& before,
-              const obs::CountersSnapshot& after)
+trial_variant(const obs::metrics::MetricsSnapshot& before,
+              const obs::metrics::MetricsSnapshot& after)
 {
-    std::string isa;
-    if (label_count(after, "simd.isa") > label_count(before, "simd.isa"))
-        isa = after.label("simd.isa");
+    const std::string isa = obs::window_label(before, after, "simd.isa");
     for (const char* key : {"stream.variant", "mttkrp.variant",
                             "merge.path", "sort.path"}) {
-        if (label_count(after, key) > label_count(before, key)) {
-            std::string variant = after.label(key);
-            if (!isa.empty())
-                variant += "_" + isa;
-            return variant;
-        }
+        std::string variant = obs::window_label(before, after, key);
+        if (variant.empty())
+            continue;
+        if (!isa.empty())
+            variant += "_" + isa;
+        return variant;
     }
     return isa;
 }
@@ -325,10 +306,8 @@ class SuiteRunner {
         };
         // Counter deltas around the guarded trial give the trial's
         // model-derived flops/bytes and the variant the kernel picked.
-        const bool counters = obs::counters_enabled();
-        obs::CountersSnapshot before;
-        if (counters)
-            before = obs::snapshot_counters();
+        const obs::metrics::MetricsSnapshot before =
+            obs::metrics::snapshot_metrics();
         // Per-trial high-water mark: reset so mem_peak reflects this
         // trial alone, not the campaign maximum so far.
         membudget::MemGovernor::instance().reset_peak();
@@ -355,15 +334,11 @@ class SuiteRunner {
             run.seconds = trial.seconds;
             run.cost = *cost;
             run.mem_peak = mem_peak;
-            if (counters) {
-                const obs::CountersSnapshot after =
-                    obs::snapshot_counters();
-                run.obs_flops =
-                    obs::delta_suffix_sum(before, after, ".flops");
-                run.obs_bytes =
-                    obs::delta_suffix_sum(before, after, ".bytes");
-                run.variant = trial_variant(before, after);
-            }
+            const obs::metrics::MetricsSnapshot after =
+                obs::metrics::snapshot_metrics();
+            run.obs_flops = obs::delta_suffix_sum(before, after, ".flops");
+            run.obs_bytes = obs::delta_suffix_sum(before, after, ".bytes");
+            run.variant = trial_variant(before, after);
             record.flops = cost->flops;
             record.bytes = cost->bytes;
             record.variant = run.variant;

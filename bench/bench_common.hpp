@@ -38,9 +38,9 @@ namespace pasta::bench {
 ///   PASTA_JOURNAL        "0" disables checkpoint/resume journaling
 ///   PASTA_VALIDATE       off|convert|kernel|full structural and
 ///                        differential checking (see src/validate)
-///   PASTA_TRACE          off|counters|spans|full instrumentation (see
-///                        src/obs): counters feed the obs_* CSV columns
-///                        and the journal, spans feed the Chrome trace
+///   PASTA_TRACE          off|spans: spans feed the Chrome trace (see
+///                        src/obs).  The obs_* CSV/journal columns need
+///                        no switch: kernel counters are always recorded
 ///   PASTA_TRACE_DIR      where trace.json/spans.jsonl land (falls back
 ///                        to PASTA_CSV_DIR, then ".")
 ///   PASTA_METRICS        <path>[,interval_ms] live metrics heartbeat:
@@ -128,11 +128,11 @@ void print_failure_summary(const SuiteResult& result);
 
 /// Writes the full run series as CSV (tensor, kernel, format, seconds,
 /// gflops, roofline_gflops, efficiency, variant, obs_flops, obs_bytes,
-/// obs_ai, roofline_pct, mem_peak) for external plotting.  The last five columns
-/// come from the PASTA_TRACE counter registry and are ""/0 when the
-/// trial ran with counters off; roofline_pct then falls back to the
-/// Table I model's OI.  Figure binaries call this automatically when
-/// PASTA_CSV_DIR is set.
+/// obs_ai, roofline_pct, mem_peak) for external plotting.  variant and
+/// obs_* come from the trial's metrics-registry deltas (always recorded);
+/// roofline_pct falls back to the Table I model's OI for a run without
+/// them.  Figure binaries call this automatically when PASTA_CSV_DIR is
+/// set.
 void export_csv(const std::string& path,
                 const std::vector<MeasuredRun>& runs,
                 const MachineSpec& platform);

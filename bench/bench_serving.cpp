@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
@@ -69,34 +70,6 @@ using namespace pasta;
 using serve::ServeFormat;
 using serve::ServeJob;
 using serve::ServeKernel;
-
-long
-env_long(const char* name, long fallback, long lo, long hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
-
-double
-env_double(const char* name, double fallback, double lo, double hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be a number in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
 
 /// The immutable description one job is built from in every phase: the
 /// job list is a pure function of the config, so nocache and cache

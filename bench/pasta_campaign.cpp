@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
 #include "common/rng.hpp"
@@ -88,15 +89,6 @@ campaign_datasets()
         pos = comma + 1;
     }
     return ids;
-}
-
-long
-delay_ms_from_env()
-{
-    const char* s = std::getenv("PASTA_CAMPAIGN_DELAY_MS");
-    if (!s || !*s)
-        return 0;
-    return std::strtol(s, nullptr, 10);
 }
 
 std::string
@@ -170,9 +162,8 @@ parse_range(const std::string& name, Size& lo, Size& hi)
 /// here executes inside a worker process — a crash costs one attempt.
 harness::JournalEntry
 run_shard(const bench::BenchOptions& options, const std::string& dir,
-          const harness::ShardSpec& spec)
+          const harness::ShardSpec& spec, long delay)
 {
-    const long delay = delay_ms_from_env();
     if (delay > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(delay));
 
@@ -251,6 +242,7 @@ main(int argc, char** argv)
     using namespace pasta;
     const bench::BenchOptions options = bench::options_from_env();
     const std::string dir = campaign_dir(options);
+    const long delay = env_long("PASTA_CAMPAIGN_DELAY_MS", 0, 0, 3600000);
 
     harness::CampaignOptions copts = harness::CampaignOptions::from_env();
     copts.dir = dir;
@@ -259,7 +251,7 @@ main(int argc, char** argv)
     const std::vector<harness::ShardSpec> shards = build_shards(options);
     const harness::ShardBody body =
         [&](const harness::ShardSpec& spec) {
-            return run_shard(options, dir, spec);
+            return run_shard(options, dir, spec, delay);
         };
 
     if (worker_mode)

@@ -21,8 +21,9 @@ Entries with missing or malformed names/rates are skipped rather than
 crashing, so profiles from newer or older binaries with extra keys
 still compare.
 
-CSV inputs that carry the roofline_pct column (PASTA_TRACE counters
-armed) are additionally gated on roofline efficiency: a trial whose
+CSV inputs that carry the roofline_pct column (every suite CSV; its
+counter-derived AI is always recorded) are additionally gated on
+roofline efficiency: a trial whose
 "% of roofline" dropped by more than --threshold percent (relative) is
 a regression even if raw GFLOPS merely shifted with the machine.
 

@@ -18,8 +18,10 @@
 #                    loud warning is printed (debug-library timings are
 #                    not comparable across runs)
 #   BENCH_OBS        when not 0, also run scripts/check_obs.sh against
-#                    the same build dir (PASTA_TRACE=full smoke of the
-#                    instrumentation layer); set BENCH_OBS=0 to skip
+#                    the same build dir (PASTA_TRACE=spans smoke of the
+#                    instrumentation layer, plus an untraced run whose
+#                    obs CSV/journal columns must still be filled); set
+#                    BENCH_OBS=0 to skip
 #   BENCH_SIMD       when not 0, also run scripts/check_simd.sh against
 #                    the same build dir (kernel tests + PASTA_VALIDATE
 #                    oracles under every forced PASTA_SIMD dispatch
@@ -81,8 +83,9 @@ fi
 
 echo "wrote ${OUT_JSON} (OMP_NUM_THREADS=${OMP_NUM_THREADS})"
 
-# Instrumentation smoke: the same build must produce a valid trace.json,
-# spans.jsonl, and obs CSV/journal columns with PASTA_TRACE=full.
+# Instrumentation smoke: the same build must produce a valid trace.json
+# and spans.jsonl with PASTA_TRACE=spans, and filled obs CSV/journal
+# columns with and without it.
 if [ "${BENCH_OBS:-1}" != "0" ]; then
     scripts/check_obs.sh "${BUILD_DIR}"
 fi

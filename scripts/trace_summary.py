@@ -4,7 +4,7 @@
 Usage: scripts/trace_summary.py TRACE [--top N]
 
 TRACE is either a <stem>.trace.json (Chrome trace-event JSON as written
-by the bench suites with PASTA_TRACE=spans/full) or a <stem>.spans.jsonl
+by the bench suites with PASTA_TRACE=spans) or a <stem>.spans.jsonl
 (one span object per line); the format is chosen by file extension.
 Merged multi-process campaign traces (campaign.trace.json) work too:
 spans from different workers keep distinct "pid/tid" rows in the
@@ -15,8 +15,8 @@ Two tables are printed:
   - the top-N phases by cumulative duration (count, total, mean, max),
     which answers "where does the suite spend its time";
   - per-thread busy time over top-level spans only (nested spans would
-    double-count), with a max/mean imbalance figure mirroring the
-    *.worker_items counters the kernels record.
+    double-count), with a max/mean imbalance figure: the suite's view of
+    per-thread load balance.
 
 Per-job span instances ("serve.wait#<id>" / "serve.exec#<id>" as
 recorded by the serving scheduler) are folded into their base phase for
@@ -100,7 +100,7 @@ def main():
             threads[tid] += dur_us
     if not total_spans:
         print(f"error: no spans in {args.trace} "
-              "(was PASTA_TRACE=spans or full set?)", file=sys.stderr)
+              "(was PASTA_TRACE=spans set?)", file=sys.stderr)
         return 1
 
     width = max(len(n) for n in phases)

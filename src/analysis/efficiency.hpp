@@ -22,9 +22,9 @@ struct MeasuredRun {
     Format format = Format::kCoo;
     double seconds = 0;        ///< mean kernel time
     KernelCost cost;           ///< Table I work/traffic for this tensor
-    /// Observability channel (zero when PASTA_TRACE left counters off):
-    /// the variant label the kernel reported and the trial's
-    /// counter-derived flop/byte totals.
+    /// Observability channel, from the metrics registry: the variant
+    /// label the kernel reported and the trial's counter-derived
+    /// flop/byte totals (zero for journal rows written without them).
     std::string variant;
     double obs_flops = 0;
     double obs_bytes = 0;
@@ -44,7 +44,7 @@ double run_roofline_gflops(const MeasuredRun& run, const MachineSpec& spec);
 double run_efficiency(const MeasuredRun& run, const MachineSpec& spec);
 
 /// Arithmetic intensity of a run: the counter-derived ratio
-/// obs_flops/obs_bytes when the trial recorded counters, else the Table I
+/// obs_flops/obs_bytes when the run carries them, else the Table I
 /// model's OI.  Counter totals accumulate over warmups and repeats, but
 /// AI is a ratio and therefore repetition-invariant.
 double run_ai(const MeasuredRun& run);

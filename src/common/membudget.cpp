@@ -3,38 +3,11 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/log.hpp"
 #include "harness/fault.hpp"
-#include "obs/counters.hpp"
 
 namespace pasta::membudget {
-
-namespace {
-
-/// Parses "$PASTA_MEM_BYTES": a non-negative integer with an optional
-/// K/M/G binary suffix (case-insensitive).  Throws PastaError on
-/// malformed input; returns 0 for "0" (unlimited).
-std::uint64_t
-parse_mem_bytes(const char* text)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    std::uint64_t scale = 1;
-    if (*end == 'k' || *end == 'K')
-        scale = 1ULL << 10, ++end;
-    else if (*end == 'm' || *end == 'M')
-        scale = 1ULL << 20, ++end;
-    else if (*end == 'g' || *end == 'G')
-        scale = 1ULL << 30, ++end;
-    PASTA_CHECK_MSG(*text && *end == '\0' &&
-                        v <= (~0ULL) / scale,
-                    "PASTA_MEM_BYTES='" << text
-                                        << "' must be a byte count with an "
-                                           "optional K/M/G suffix");
-    return static_cast<std::uint64_t>(v) * scale;
-}
-
-}  // namespace
 
 MemGovernor&
 MemGovernor::instance()
@@ -59,7 +32,7 @@ MemGovernor::configure_from_env()
     const char* s = std::getenv("PASTA_MEM_BYTES");
     if (!s || !*s)
         return;
-    configure(parse_mem_bytes(s));
+    configure(env_bytes("PASTA_MEM_BYTES", 0));
 }
 
 void
@@ -70,7 +43,6 @@ MemGovernor::note_peak(std::uint64_t level) const
            !peak_.compare_exchange_weak(seen, level,
                                         std::memory_order_relaxed))
         ;
-    obs::record_max("mem.peak", level);
 }
 
 void
@@ -93,7 +65,6 @@ MemGovernor::reserve(std::uint64_t bytes, const char* what)
             break;
     }
     note_peak(current + bytes);
-    obs::add("mem.reserved", bytes);
 }
 
 bool
@@ -114,7 +85,6 @@ MemGovernor::try_reserve(std::uint64_t bytes, const char* what)
             break;
     }
     note_peak(current + bytes);
-    obs::add("mem.reserved", bytes);
     return true;
 }
 

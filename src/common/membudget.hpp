@@ -24,10 +24,10 @@
 /// builds, dense factor allocation, privatized MTTKRP buffers, and the
 /// out-of-core chunk buffers (core/stream).  Long-lived tensors are
 /// metered while being materialized; lightweight `check()` probes guard
-/// the remaining bulk resizes.  High-water marks are exported through
-/// the PR-5 counter registry ("mem.peak" via record_max, "mem.reserved"
-/// as a running total of granted bytes) and through peak() for the
-/// bench harness's per-trial mem_peak column.
+/// the remaining bulk resizes.  reserved() and peak() are read by the
+/// metrics exporter (the "mem.reserved" and "mem.peak" gauges of every
+/// heartbeat) and by the bench harness (its per-trial mem_peak column);
+/// the governor itself records nothing into the metrics registry.
 ///
 /// Thread safety: all mutators are atomic; reserve/release may be called
 /// from any thread.  The fault point "mem.reserve" (PASTA_FAULT) fires

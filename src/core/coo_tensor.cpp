@@ -11,7 +11,7 @@
 #include "common/parallel.hpp"
 #include "core/merge.hpp"
 #include "core/sort_radix.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta {
 
@@ -134,7 +134,9 @@ CooTensor::sort_by_mode_order(const std::vector<Size>& mode_order)
     if (nnz() < 2)
         return;
     if (radix::lex_key_fits(dims_, mode_order)) {
-        obs::set_label("sort.path", "lex-radix64");
+        static const obs::metrics::LabelCounter path(
+            "sort.path", "lex-radix64");
+        path.add();
         std::vector<std::uint64_t> keys;
         radix::build_lex_keys(indices_, dims_, mode_order, keys);
         std::vector<Size> perm;
@@ -144,7 +146,8 @@ CooTensor::sort_by_mode_order(const std::vector<Size>& mode_order)
     }
     // Coordinate space too wide for a packed 64-bit key (e.g. three full
     // 32-bit modes): comparator sort fallback.
-    obs::set_label("sort.path", "lex-cmp");
+    static const obs::metrics::LabelCounter path("sort.path", "lex-cmp");
+    path.add();
     std::vector<Size> perm(nnz());
     std::iota(perm.begin(), perm.end(), 0);
     std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
@@ -179,7 +182,9 @@ CooTensor::sort_morton(unsigned block_bits)
     if (nnz() < 2)
         return;
     if (radix::morton_key_fits(dims_, block_bits)) {
-        obs::set_label("sort.path", "morton-radix64");
+        static const obs::metrics::LabelCounter path(
+            "sort.path", "morton-radix64");
+        path.add();
         std::vector<std::uint64_t> packed;
         radix::build_morton_keys(indices_, dims_, block_bits, packed);
         std::vector<Size> perm;
@@ -188,7 +193,8 @@ CooTensor::sort_morton(unsigned block_bits)
         return;
     }
     // Key too wide (high order or huge dims): 128-bit comparator fallback.
-    obs::set_label("sort.path", "morton-cmp");
+    static const obs::metrics::LabelCounter path("sort.path", "morton-cmp");
+    path.add();
     std::vector<MortonKey> keys(nnz());
     std::vector<Index> block_coord(n);
     for (Size p = 0; p < nnz(); ++p) {

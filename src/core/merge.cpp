@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "core/sort_radix.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta::merge {
 
@@ -18,6 +17,20 @@ merge_path_name(MergePath path)
     }
     return "?";
 }
+
+namespace {
+
+/// Counts one "merge.path=<path>" decision.
+void
+note_path(MergePath path)
+{
+    static const auto counts = obs::metrics::label_counters<
+        static_cast<std::size_t>(MergePath::kMergedCmp) + 1>(
+        "merge.path", merge_path_name);
+    counts[static_cast<std::size_t>(path)].add();
+}
+
+}  // namespace
 
 Size
 exclusive_scan(std::vector<Size>& counts)
@@ -45,13 +58,13 @@ MergeKeys::MergeKeys(const CooTensor& x, const CooTensor& y,
         mode_order[m] = m;
     if (radix::lex_key_fits(out_dims, mode_order)) {
         path_ = MergePath::kMerged64Key;
-        obs::set_label("merge.path", merge_path_name(path_));
+        note_path(path_);
         radix::build_lex_keys(x.indices_view(), out_dims, mode_order, kx_);
         radix::build_lex_keys(y.indices_view(), out_dims, mode_order, ky_);
         return;
     }
     path_ = MergePath::kMergedCmp;
-    obs::set_label("merge.path", merge_path_name(path_));
+    note_path(path_);
     xi_.resize(order_);
     yi_.resize(order_);
     for (Size m = 0; m < order_; ++m) {
@@ -132,10 +145,6 @@ MergeKeys::count_segment(const MergePartition& part, Size s,
     }
     if (keep)
         count += (a_end - a) + (b_end - b);
-    // Items consumed by this segment, attributed to the executing worker:
-    // the suite's per-thread load-imbalance signal for merge-path TEW.
-    obs::add_worker("merge.worker_items", worker_id(),
-                    (a_end - part.a[s]) + (b_end - part.b[s]));
     return count;
 }
 

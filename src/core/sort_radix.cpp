@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "common/membudget.hpp"
 #include "common/parallel.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta::radix {
 
@@ -153,8 +153,10 @@ sort_perm(std::vector<std::uint64_t>& keys, std::vector<Size>& perm)
         std::max(1u, (static_cast<unsigned>(std::bit_width(max_key)) +
                       kDigitBits - 1) /
                          kDigitBits);
-    obs::add("sort.radix_passes", passes);
-    obs::add("sort.radix_keys", n);
+    static const obs::metrics::Counter pass_count("sort.radix_passes");
+    static const obs::metrics::Counter key_count("sort.radix_keys");
+    pass_count.add(passes);
+    key_count.add(n);
 
     // Fixed chunk partition shared by the histogram and scatter phases.
     // Stability makes the result independent of the partition (and hence

@@ -14,7 +14,7 @@
 #include "common/parallel.hpp"
 #include "core/sort_radix.hpp"
 #include "kernels/ttv.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta::stream {
 
@@ -63,8 +63,11 @@ stream_variant_name(const char* kernel, Size partitions)
 void
 note_decision(const StreamDecision& d)
 {
-    obs::set_label("stream.variant", d.variant);
-    obs::add("stream.partitions", d.partitions);
+    // Open-valued label, decided once per out-of-core operation: the
+    // by-name lookup is the one place a recording takes the registry lock.
+    obs::metrics::LabelCounter("stream.variant", d.variant).add();
+    static const obs::metrics::Counter partitions("stream.partitions");
+    partitions.add(d.partitions);
 }
 
 /// Checkpoint file layout (all little-endian host-order):

@@ -1,10 +1,10 @@
 #include "gpusim/device.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/parallel.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "validate/validate.hpp"
 
 namespace pasta::gpusim {
@@ -20,36 +20,25 @@ namespace detail {
 void
 note_launch(Size blocks, Size threads_per_block)
 {
-    if (!obs::counters_enabled())
-        return;
-    obs::counter("gpusim.launches").add(1);
-    obs::counter("gpusim.sim_blocks").add(blocks);
-    obs::counter("gpusim.sim_threads").add(blocks * threads_per_block);
+    static const obs::metrics::Counter launches("gpusim.launches");
+    static const obs::metrics::Counter sim_blocks("gpusim.sim_blocks");
+    static const obs::metrics::Counter sim_threads("gpusim.sim_threads");
+    launches.add();
+    sim_blocks.add(blocks);
+    sim_threads.add(blocks * threads_per_block);
 }
 
 }  // namespace detail
-
-namespace {
 
 /// 16 GiB: the HBM2 capacity of the Tesla P100/V100 parts the timing
 /// model simulates.
 constexpr std::uint64_t kDefaultCapacityBytes = 16ULL << 30;
 
 std::uint64_t
-capacity_from_env()
+DeviceMemory::capacity_from_env()
 {
-    const char* s = std::getenv("PASTA_GPUSIM_MEM_BYTES");
-    if (!s || !*s)
-        return kDefaultCapacityBytes;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && end != s,
-                    "PASTA_GPUSIM_MEM_BYTES='"
-                        << s << "' must be a byte count (0 = unlimited)");
-    return v;
+    return env_bytes("PASTA_GPUSIM_MEM_BYTES", kDefaultCapacityBytes);
 }
-
-}  // namespace
 
 DeviceMemory::DeviceMemory() : capacity_(capacity_from_env()) {}
 
@@ -82,7 +71,8 @@ DeviceMemory::allocate(std::uint64_t bytes, const char* what)
     const std::uint64_t used_now = used_.load();
     while (used_now > peak && !peak_.compare_exchange_weak(peak, used_now)) {
     }
-    obs::record_max("gpusim.mem_peak_bytes", used_now);
+    static const obs::metrics::Gauge mem_peak("gpusim.mem_peak_bytes");
+    mem_peak.max(static_cast<double>(used_now));
 }
 
 void

@@ -80,8 +80,8 @@ inline constexpr Size kDefaultBlockThreads = 256;
 
 namespace detail {
 
-/// Counter-registry hook for launch(); defined out of line so the hot
-/// launch template carries no obs include.  No-op when counters are off.
+/// Metrics hook for launch() (gpusim.launches/sim_blocks/sim_threads);
+/// defined out of line so the hot launch template carries no obs include.
 void note_launch(Size blocks, Size threads_per_block);
 
 }  // namespace detail
@@ -129,9 +129,10 @@ class DeviceOomError : public PastaError {
 
 /// Byte-accurate allocation accounting for the simulated device.
 ///
-/// Capacity comes from PASTA_GPUSIM_MEM_BYTES (default 16 GiB, matching
-/// the Tesla P100/V100 class the timing model simulates; 0 = unlimited;
-/// malformed values throw PastaError).  allocate() draws down the
+/// Capacity comes from PASTA_GPUSIM_MEM_BYTES (a byte count with an
+/// optional K/M/G suffix; default 16 GiB, matching the Tesla P100/V100
+/// class the timing model simulates; 0 = unlimited; malformed values
+/// throw PastaError).  allocate() draws down the
 /// capacity and throws DeviceOomError naming the allocation when it does
 /// not fit; release() returns bytes.  The accounting is process-wide,
 /// like the device it models.
@@ -142,6 +143,9 @@ class DeviceMemory {
 
     /// Capacity in bytes; 0 means unlimited.
     std::uint64_t capacity() const { return capacity_; }
+
+    /// Parses PASTA_GPUSIM_MEM_BYTES (the constructor's capacity).
+    static std::uint64_t capacity_from_env();
 
     /// Overrides the capacity (tests); resets nothing else.
     void set_capacity(std::uint64_t bytes) { capacity_ = bytes; }

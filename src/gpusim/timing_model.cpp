@@ -4,7 +4,7 @@
 #include <queue>
 
 #include "common/error.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta::gpusim {
 
@@ -79,24 +79,22 @@ lpt_makespan(std::vector<double> work, int bins)
 double
 estimate_seconds(const DeviceSpec& spec, const LaunchProfile& profile)
 {
-    if (obs::counters_enabled()) {
-        obs::counter("gpusim.flops").add(
-            static_cast<std::uint64_t>(profile.flops));
-        obs::counter("gpusim.bytes").add(
-            static_cast<std::uint64_t>(profile.dram_bytes));
-        obs::counter("gpusim.atomics").add(
-            static_cast<std::uint64_t>(profile.atomics));
-        obs::counter("gpusim.model_launches").add(1);
-        if (!profile.block_bytes.empty()) {
-            // Simulated occupancy: modeled thread blocks per SM wave,
-            // capped at 100 (a full device).
-            const auto blocks =
-                static_cast<std::uint64_t>(profile.block_bytes.size());
-            obs::counter("gpusim.occupancy_pct")
-                .record_max(std::min<std::uint64_t>(
-                    100, 100 * blocks /
-                             static_cast<std::uint64_t>(spec.num_sms)));
-        }
+    static const obs::metrics::Counter flops("gpusim.flops");
+    static const obs::metrics::Counter bytes("gpusim.bytes");
+    static const obs::metrics::Counter atomics("gpusim.atomics");
+    static const obs::metrics::Counter launches("gpusim.model_launches");
+    static const obs::metrics::Gauge occupancy("gpusim.occupancy_pct");
+    flops.add(static_cast<std::uint64_t>(profile.flops));
+    bytes.add(static_cast<std::uint64_t>(profile.dram_bytes));
+    atomics.add(static_cast<std::uint64_t>(profile.atomics));
+    launches.add();
+    if (!profile.block_bytes.empty()) {
+        // Simulated occupancy: modeled thread blocks per SM wave, capped
+        // at 100 (a full device).
+        const auto blocks =
+            static_cast<std::uint64_t>(profile.block_bytes.size());
+        occupancy.max(static_cast<double>(std::min<std::uint64_t>(
+            100, 100 * blocks / static_cast<std::uint64_t>(spec.num_sms))));
     }
     // Cache residency: a working set inside the L2 is streamed at L2
     // bandwidth (the paper's explanation for small tensors exceeding the

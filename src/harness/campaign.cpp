@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/log.hpp"
@@ -49,18 +50,19 @@ splitmix64(std::uint64_t& state)
     return z ^ (z >> 31);
 }
 
-long
-env_long(const char* name, long fallback, long lo, long hi)
+/// Campaign events, resolved out of the metrics registry once.
+struct CampaignMetrics {
+    obs::metrics::Counter ok{"campaign.trial.ok"};
+    obs::metrics::Counter failed{"campaign.trial.failed"};
+    obs::metrics::Counter chaos_kills{"campaign.chaos_kills"};
+    obs::metrics::Counter respawns{"campaign.respawns"};
+};
+
+const CampaignMetrics&
+campaign_events()
 {
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
+    static const CampaignMetrics m;
+    return m;
 }
 
 double
@@ -370,7 +372,7 @@ run_worker_once(const CampaignOptions& opts,
             // done marker: a kill anywhere in between re-runs the shard
             // and both the journal merge and the last-snapshot
             // aggregation fold the duplicate the same way.
-            obs::metrics::counter_add("campaign.trial.ok", 1);
+            campaign_events().ok.add();
             obs::metrics::stop_exporter();
             // Order matters: journal line first, then the durable done
             // marker.  A kill between the two re-runs the shard and the
@@ -386,7 +388,7 @@ run_worker_once(const CampaignOptions& opts,
             entry.failure_class = "oom";
             journal.append(entry);
             journal.flush();
-            obs::metrics::counter_add("campaign.trial.failed", 1);
+            campaign_events().failed.add();
             obs::metrics::stop_exporter();
             exit_code = kWorkerExitOom;
         } catch (const std::exception& e) {
@@ -399,7 +401,7 @@ run_worker_once(const CampaignOptions& opts,
             entry.failure_class = oom ? "oom" : "error";
             journal.append(entry);
             journal.flush();
-            obs::metrics::counter_add("campaign.trial.failed", 1);
+            campaign_events().failed.add();
             obs::metrics::stop_exporter();
             exit_code = oom ? kWorkerExitOom : kWorkerExitFailure;
         }
@@ -631,7 +633,7 @@ Supervisor::run()
                 ::kill(victim, SIGKILL);
                 obs::record_span("campaign.chaos_kill",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.chaos_kills", 1);
+                campaign_events().chaos_kills.add();
                 ++report.chaos_kills_sent;
                 --chaos_left;
                 next_chaos_tick =
@@ -681,7 +683,7 @@ Supervisor::run()
                 ++report.respawns;
                 obs::record_span("campaign.respawn",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.respawns", 1);
+                campaign_events().respawns.add();
                 break;
               default: {
                 if (cls == ExitClass::kFailure)
@@ -695,7 +697,7 @@ Supervisor::run()
                 ++report.respawns;
                 obs::record_span("campaign.respawn",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.respawns", 1);
+                campaign_events().respawns.add();
                 next_spawn_steady = now_steady_seconds() + backoff;
                 backoff = std::min(backoff * 2, opts_.backoff_max_s);
                 const bool done_anyway =

@@ -4,47 +4,21 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace pasta::harness {
 
 namespace {
-
-/// Minimal JSON string escaping; tensor ids and error strings are ASCII
-/// but error messages can contain quotes/backslashes from paths.
-std::string
-escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /// Pull-parser over one flat JSON object line.  Only what the journal
 /// emits is supported: string, number, and bool values.
@@ -126,50 +100,11 @@ class FlatJsonReader {
 
     bool parse_string(std::string& out)
     {
-        if (!consume('"'))
+        const char* p = text_.data() + pos_;
+        if (!json::parse_string(p, text_.data() + text_.size(), out))
             return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return false;
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos_ + 4 > text_.size())
-                        return false;
-                    unsigned v = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        v <<= 4;
-                        if (h >= '0' && h <= '9')
-                            v |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            v |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            v |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return false;
-                    }
-                    out += static_cast<char>(v & 0x7F);
-                    break;
-                  }
-                  default: return false;
-                }
-            } else {
-                out += c;
-            }
-        }
-        return false;  // unterminated (torn line)
+        pos_ = static_cast<std::size_t>(p - text_.data());
+        return true;
     }
 
     const std::string& text_;
@@ -183,15 +118,15 @@ to_json_line(const JournalEntry& entry)
 {
     std::ostringstream oss;
     oss.precision(17);
-    oss << "{\"tensor\":\"" << escape(entry.tensor_id) << "\""
-        << ",\"kernel\":\"" << escape(entry.kernel) << "\""
-        << ",\"format\":\"" << escape(entry.format) << "\""
+    oss << "{\"tensor\":\"" << json::escaped(entry.tensor_id) << "\""
+        << ",\"kernel\":\"" << json::escaped(entry.kernel) << "\""
+        << ",\"format\":\"" << json::escaped(entry.format) << "\""
         << ",\"ok\":" << (entry.ok ? "true" : "false")
         << ",\"seconds\":" << entry.seconds << ",\"flops\":" << entry.flops
         << ",\"bytes\":" << entry.bytes << ",\"attempts\":" << entry.attempts
-        << ",\"error\":\"" << escape(entry.error) << "\""
-        << ",\"class\":\"" << escape(entry.failure_class) << "\""
-        << ",\"variant\":\"" << escape(entry.variant) << "\""
+        << ",\"error\":\"" << json::escaped(entry.error) << "\""
+        << ",\"class\":\"" << json::escaped(entry.failure_class) << "\""
+        << ",\"variant\":\"" << json::escaped(entry.variant) << "\""
         << ",\"obs_flops\":" << entry.obs_flops
         << ",\"obs_bytes\":" << entry.obs_bytes
         << ",\"mem_peak\":" << entry.mem_peak
@@ -200,7 +135,7 @@ to_json_line(const JournalEntry& entry)
     // Optional field: omitted when empty so unsharded journal lines stay
     // byte-identical to pre-campaign ones.
     if (!entry.shard.empty())
-        oss << ",\"shard\":\"" << escape(entry.shard) << "\"";
+        oss << ",\"shard\":\"" << json::escaped(entry.shard) << "\"";
     oss << "}";
     return oss.str();
 }
@@ -244,28 +179,9 @@ parse_json_line(const std::string& line, JournalEntry& entry)
     return true;
 }
 
-namespace {
-
-/// $PASTA_JOURNAL_FSYNC: fsync every Nth append (default 1 = every
-/// line); 0 disables the fsync (write + close durability only).
-int
-fsync_batch_from_env()
-{
-    const char* s = std::getenv("PASTA_JOURNAL_FSYNC");
-    if (!s || !*s)
-        return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= 0 && v <= 1000000,
-                    "PASTA_JOURNAL_FSYNC='"
-                        << s << "' must be an integer in [0, 1000000]");
-    return static_cast<int>(v);
-}
-
-}  // namespace
-
 RunJournal::RunJournal(std::string path)
-    : path_(std::move(path)), fsync_batch_(fsync_batch_from_env())
+    : path_(std::move(path)), fsync_batch_(static_cast<int>(
+          env_long("PASTA_JOURNAL_FSYNC", 1, 0, 1000000)))
 {
     namespace fs = std::filesystem;
     std::error_code ec;

@@ -40,7 +40,7 @@ struct JournalEntry {
     /// Serialized as the optional "class" field; absent in pre-PR-2
     /// journals, which parse as "".
     std::string failure_class;
-    /// Observability channel (PASTA_TRACE=counters|full): the variant
+    /// Observability channel (always-on metrics counters): the variant
     /// label the kernel reported and the trial's counter-derived flop and
     /// byte deltas.  All optional — absent fields parse as ""/0, so older
     /// journals stay loadable.

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
@@ -21,32 +22,18 @@ namespace pasta::harness {
 
 namespace {
 
-double
-env_double(const char* name, double fallback, double lo, double hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be a number in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
+/// Trial outcomes, resolved out of the metrics registry once.
+struct TrialMetrics {
+    obs::metrics::Counter ok{"trial.ok"};
+    obs::metrics::Counter failed{"trial.failed"};
+    obs::metrics::Histogram& ms = obs::metrics::histogram("trial.ms");
+};
 
-long
-env_long(const char* name, long fallback, long lo, long hi)
+const TrialMetrics&
+trial_metrics()
 {
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
+    static const TrialMetrics m;
+    return m;
 }
 
 /// Shared between the watchdog owner and a (possibly abandoned) worker.
@@ -197,7 +184,7 @@ run_guarded_trial(const std::string& label,
             result.error = oss.str();
             result.skipped = true;
             result.timed_out = true;
-            obs::metrics::counter_add("trial.failed", 1);
+            trial_metrics().failed.add();
             PASTA_LOG_WARN << label << ": " << result.error
                            << "; trial skipped";
             return result;
@@ -207,9 +194,8 @@ run_guarded_trial(const std::string& label,
             result.oom = false;
             result.seconds = seconds;
             result.error.clear();
-            obs::metrics::counter_add("trial.ok", 1);
-            obs::metrics::hist_record(
-                "trial.ms",
+            trial_metrics().ok.add();
+            trial_metrics().ms.record(
                 static_cast<std::uint64_t>(seconds * 1e3));
             return result;
         }
@@ -229,7 +215,7 @@ run_guarded_trial(const std::string& label,
             // kernel on the same data and fails the same check.
             result.skipped = true;
             result.validation = true;
-            obs::metrics::counter_add("trial.failed", 1);
+            trial_metrics().failed.add();
             PASTA_LOG_WARN << label << ": validation failure (" << error
                            << "); trial skipped";
             return result;
@@ -244,7 +230,7 @@ run_guarded_trial(const std::string& label,
         }
     }
     result.skipped = true;
-    obs::metrics::counter_add("trial.failed", 1);
+    trial_metrics().failed.add();
     PASTA_LOG_WARN << label << ": giving up after " << result.attempts
                    << " attempts (" << result.error << ")";
     return result;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/counters.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
@@ -22,8 +21,7 @@ namespace {
 void
 accumulate_subtree(const CsfTensor& x, const FactorList& factors,
                    Size level, Size id, Value* acc, Size rank,
-                   Value* scratch, simd::Isa isa, Size pf,
-                   Size& prefetched)
+                   Value* scratch, simd::Isa isa, Size pf)
 {
     const Size n = x.order();
     if (level + 1 == n) {
@@ -43,13 +41,11 @@ accumulate_subtree(const CsfTensor& x, const FactorList& factors,
     for (Size child = child_first; child < child_last; ++child) {
         // Hint the sibling's gathered factor row while this subtree
         // recurses; the idx stream itself is sequential.
-        if (child_factor != nullptr && pf != 0 && child + pf < child_last) {
+        if (child_factor != nullptr && pf != 0 && child + pf < child_last)
             simd::prefetch_read(
                 child_factor->row(child_level.idx[child + pf]));
-            ++prefetched;
-        }
         accumulate_subtree(x, factors, level + 1, child, child_acc, rank,
-                           scratch, isa, pf, prefetched);
+                           scratch, isa, pf);
         if (child_factor == nullptr) {
             // Child is a leaf: child_acc already includes its factor row.
             simd::vadd_inplace(isa, acc, child_acc, rank);
@@ -95,9 +91,6 @@ mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
     const Size n = x.order();
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, x.level_size(0), schedule,
         [&](Size root) {
@@ -113,11 +106,8 @@ mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
                     out_row[r] += x.values()[root];
                 return;
             }
-            Size issued = 0;
             accumulate_subtree(x, factors, 0, root, acc, rank, scratch,
-                               isa, pf, issued);
-            if (prefetches && issued)
-                prefetches->add(issued);
+                               isa, pf);
             // acc holds sum over children c of (subtree(c) * U(idx_c)):
             // accumulate_subtree at level 0 already applied the level-1
             // factor rows, so acc is the full Khatri-Rao partial.
@@ -185,9 +175,6 @@ ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode,
     const Value* vv = v.data();
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, fibers, schedule,
         [&](Size f) {
@@ -197,8 +184,6 @@ ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode,
                 const Size lim = std::min(first + pf, last);
                 for (Size p = first; p < lim; ++p)
                     simd::prefetch_read(vv + leaf_idx[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
             }
             out.values()[f] = simd::vdot_gather(
                 isa, xv + first, leaf_idx + first, vv, last - first);

@@ -1,12 +1,13 @@
 #include "kernels/mttkrp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "common/error.hpp"
 #include "common/membudget.hpp"
 #include "kernels/rank_scratch.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
@@ -63,20 +64,42 @@ check_mttkrp_args(const std::vector<Index>& dims, Size order_mode,
     (void)rank;
 }
 
-/// Table I COO-MTTKRP model counters (flops = NMR, bytes = 4NMR +
-/// 4(N+1)M), recorded once per kernel invocation when counters are armed.
+/// Table I MTTKRP model counters, recorded once per kernel invocation.
+void
+note_mttkrp(double flops, double bytes)
+{
+    static const obs::metrics::Counter flops_counter("mttkrp.flops");
+    static const obs::metrics::Counter bytes_counter("mttkrp.bytes");
+    flops_counter.add(static_cast<std::uint64_t>(flops));
+    bytes_counter.add(static_cast<std::uint64_t>(bytes));
+}
+
+/// COO-MTTKRP: flops = NMR, bytes = 4NMR + 4(N+1)M.
 void
 note_mttkrp_coo(Size order, Size nnz, Size rank)
 {
-    if (!obs::counters_enabled())
-        return;
     const double n = static_cast<double>(order);
     const double m = static_cast<double>(nnz);
     const double r = static_cast<double>(rank);
-    obs::counter("mttkrp.flops").add(
-        static_cast<std::uint64_t>(n * m * r));
-    obs::counter("mttkrp.bytes").add(
-        static_cast<std::uint64_t>(4 * n * m * r + 4 * (n + 1) * m));
+    note_mttkrp(n * m * r, 4 * n * m * r + 4 * (n + 1) * m);
+}
+
+/// Counts one "mttkrp.variant=<v>" decision.
+void
+note_variant(MttkrpVariant v)
+{
+    static const auto counts = obs::metrics::label_counters<
+        static_cast<std::size_t>(MttkrpVariant::kBlockOwner) + 1>(
+        "mttkrp.variant", mttkrp_variant_name);
+    counts[static_cast<std::size_t>(v)].add();
+}
+
+/// Counts output-row atomic updates ("mttkrp.atomics").
+void
+note_atomics(Size updates)
+{
+    static const obs::metrics::Counter atomics("mttkrp.atomics");
+    atomics.add(updates);
 }
 
 /// tmp = xval * prod of the non-mode factor rows of non-zero p.  The
@@ -106,18 +129,13 @@ khatri_rao_row(simd::Isa isa, const CooTensor& x,
 /// Prefetches the factor rows non-zero q will gather.  The index
 /// streams themselves are sequential (hardware-prefetched); the factor
 /// rows they select are the random accesses worth hinting.
-inline Size
+inline void
 prefetch_factor_rows(const CooTensor& x, const FactorList& factors,
                      Size mode, Size order, Size q)
 {
-    Size issued = 0;
-    for (Size m = 0; m < order; ++m) {
-        if (m == mode)
-            continue;
-        simd::prefetch_read(factors[m]->row(x.index(m, q)));
-        ++issued;
-    }
-    return issued;
+    for (Size m = 0; m < order; ++m)
+        if (m != mode)
+            simd::prefetch_read(factors[m]->row(x.index(m, q)));
 }
 
 }  // namespace
@@ -153,7 +171,7 @@ mttkrp_coo(const CooTensor& x, const FactorList& factors, Size mode,
     const Size rank = check_factors(x.dims(), factors);
     check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
     const MttkrpVariant pick = mttkrp_coo_pick(x.dim(mode), x.nnz(), rank);
-    obs::set_label("mttkrp.variant", mttkrp_variant_name(pick));
+    note_variant(pick);
     note_mttkrp_coo(x.order(), x.nnz(), rank);
     if (pick == MttkrpVariant::kPrivatized)
         mttkrp_coo_privatized(x, factors, mode, out);
@@ -181,6 +199,7 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
     // and flushed with one atomic set per run, not one per non-zero.
     // Correct for arbitrary streams: an unsorted stream just flushes
     // more often.
+    std::atomic<Size> total_flushes{0};
     parallel_for_ranges(0, x.nnz(), [&](Size first, Size last) {
         RankScratch acc_buf(rank);
         RankScratch tmp_buf(rank);
@@ -189,7 +208,6 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         Index run_row = 0;
         bool in_run = false;
         Size flushes = 0;
-        Size prefetched = 0;
         const auto flush = [&] {
             ++flushes;
             Value* out_row = out.row(run_row);
@@ -198,8 +216,7 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         };
         for (Size p = first; p < last; ++p) {
             if (pf != 0 && p + pf < last)
-                prefetched +=
-                    prefetch_factor_rows(x, factors, mode, order, p + pf);
+                prefetch_factor_rows(x, factors, mode, order, p + pf);
             khatri_rao_row(isa, x, factors, mode, order, p, xv[p], tmp,
                            rank);
             if (in_run && out_idx[p] == run_row) {
@@ -217,10 +234,9 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         }
         if (in_run)
             flush();
-        obs::add("mttkrp.atomics", flushes * rank);
-        obs::add("simd.prefetch", prefetched);
-        obs::add_worker("mttkrp.worker_items", worker_id(), last - first);
+        total_flushes.fetch_add(flushes, std::memory_order_relaxed);
     });
+    note_atomics(total_flushes.load(std::memory_order_relaxed) * rank);
 }
 
 namespace {
@@ -232,7 +248,7 @@ namespace {
 /// omp atomics for the contended schedule — inlined via template, not
 /// dispatched.
 template <typename AddFn>
-inline Size
+inline void
 hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
                     Size mode, DenseMatrix& out, Size rank, Size b,
                     simd::Isa isa, Size pf, Value* acc, AddFn add)
@@ -248,19 +264,15 @@ hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
         base[m] = factors[m]->row(
             static_cast<Size>(x.block_index(m, b)) << bits);
     const Size rank_stride = out.cols();
-    Size prefetched = 0;
     for (Size p = bptr[b]; p < bptr[b + 1]; ++p) {
         if (pf != 0 && p + pf < bptr[b + 1]) {
             const Size q = p + pf;
-            for (Size m = 0; m < order; ++m) {
-                if (m == mode)
-                    continue;
-                simd::prefetch_read(
-                    base[m] +
-                    static_cast<Size>(x.element_index(m, q)) *
-                        rank_stride);
-                ++prefetched;
-            }
+            for (Size m = 0; m < order; ++m)
+                if (m != mode)
+                    simd::prefetch_read(
+                        base[m] +
+                        static_cast<Size>(x.element_index(m, q)) *
+                            rank_stride);
         }
         const Value xval = xv[p];
         bool first = true;
@@ -284,7 +296,6 @@ hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
             static_cast<Size>(x.element_index(mode, p)) * rank_stride;
         add(out_row, acc, rank);
     }
-    return prefetched;
 }
 
 /// Owner partitioning pays off when the groups can keep the workers
@@ -304,18 +315,13 @@ hicoo_use_owner(const OwnerSchedule& sched, int threads)
 void
 note_mttkrp_hicoo(const HiCooTensor& x, Size rank)
 {
-    if (!obs::counters_enabled())
-        return;
     const double n = static_cast<double>(x.order());
     const double m = static_cast<double>(x.nnz());
     const double r = static_cast<double>(rank);
     const double nb = static_cast<double>(x.num_blocks());
     const double block = static_cast<double>(x.block_size());
-    obs::counter("mttkrp.flops").add(
-        static_cast<std::uint64_t>(n * m * r));
-    obs::counter("mttkrp.bytes").add(static_cast<std::uint64_t>(
-        4 * n * r * std::min(nb * block, m) + (4 + n) * m +
-        (4 * n + 8) * nb));
+    note_mttkrp(n * m * r, 4 * n * r * std::min(nb * block, m) +
+                               (4 + n) * m + (4 * n + 8) * nb);
 }
 
 }  // namespace
@@ -330,18 +336,15 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
 
     const OwnerSchedule& sched = x.owner_schedule(mode);
     if (!hicoo_use_owner(sched, num_threads())) {
-        obs::set_label("mttkrp.variant",
-                       mttkrp_variant_name(MttkrpVariant::kAtomic));
+        note_variant(MttkrpVariant::kAtomic);
         mttkrp_hicoo_atomic(x, factors, mode, out, schedule);
         return MttkrpVariant::kAtomic;
     }
-    obs::set_label("mttkrp.variant",
-                   mttkrp_variant_name(MttkrpVariant::kBlockOwner));
+    note_variant(MttkrpVariant::kBlockOwner);
     note_mttkrp_hicoo(x, rank);
     out.fill(0);
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    const auto& bptr = x.bptr();
     // One thread owns every block of a group, and a group's blocks are
     // the only writers of its output tile: no atomics needed.  Dynamic
     // schedule absorbs the group-size skew.
@@ -349,20 +352,14 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
         0, sched.groups(), schedule,
         [&](Size g) {
             RankScratch acc(rank);
-            Size items = 0;
-            Size prefetched = 0;
             for (Size s = sched.group_ptr[g]; s < sched.group_ptr[g + 1];
-                 ++s) {
-                const Size b = sched.blocks[s];
-                items += bptr[b + 1] - bptr[b];
-                prefetched += hicoo_process_block(
-                    x, factors, mode, out, rank, b, isa, pf, acc.data(),
+                 ++s)
+                hicoo_process_block(
+                    x, factors, mode, out, rank, sched.blocks[s], isa, pf,
+                    acc.data(),
                     [isa](Value* out_row, const Value* row, Size n) {
                         simd::vadd_inplace(isa, out_row, row, n);
                     });
-            }
-            obs::add("simd.prefetch", prefetched);
-            obs::add_worker("mttkrp.worker_items", worker_id(), items);
         },
         1);
     return MttkrpVariant::kBlockOwner;
@@ -376,34 +373,21 @@ mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
     check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
     PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
     note_mttkrp_hicoo(x, rank);
-    obs::add("mttkrp.atomics", x.nnz() * rank);
+    note_atomics(x.nnz() * rank);
     out.fill(0);
 
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    // Hoisted registry lookup: the per-block body runs once per block,
-    // too hot for a per-call map access when counters are armed.
-    obs::Counter* witems = obs::counters_enabled()
-                               ? &obs::counter("mttkrp.worker_items")
-                               : nullptr;
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
-    const auto& bptr = x.bptr();
     parallel_for(
         0, x.num_blocks(), schedule,
         [&](Size b) {
-            if (witems)
-                witems->add_worker(worker_id(), bptr[b + 1] - bptr[b]);
             RankScratch acc(rank);
-            const Size issued = hicoo_process_block(
+            hicoo_process_block(
                 x, factors, mode, out, rank, b, isa, pf, acc.data(),
                 [](Value* out_row, const Value* row, Size n) {
                     for (Size r = 0; r < n; ++r)
                         atomic_add(out_row + r, row[r]);
                 });
-            if (prefetches)
-                prefetches->add(issued);
         },
         8);
 }
@@ -428,21 +412,17 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
         threads, DenseMatrix(out.rows(), rank, 0));
     parallel_for_worker_ranges(
         0, x.nnz(), [&](int worker, Size first, Size last) {
-            obs::add_worker("mttkrp.worker_items", worker, last - first);
             DenseMatrix& local = privates[worker];
             RankScratch acc_buf(rank);
             Value* acc = acc_buf.data();
-            Size prefetched = 0;
             for (Size p = first; p < last; ++p) {
                 if (pf != 0 && p + pf < last)
-                    prefetched += prefetch_factor_rows(x, factors, mode,
-                                                       order, p + pf);
+                    prefetch_factor_rows(x, factors, mode, order, p + pf);
                 khatri_rao_row(isa, x, factors, mode, order, p, xv[p],
                                acc, rank);
                 Value* out_row = local.row(x.index(mode, p));
                 simd::vadd_inplace(isa, out_row, acc, rank);
             }
-            obs::add("simd.prefetch", prefetched);
         });
     // Reduction (parallel over output rows, race-free).
     parallel_for(0, out.rows(), Schedule::kStatic, [&](Size i) {

@@ -2,7 +2,7 @@
 
 #include "common/error.hpp"
 #include "core/convert.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
@@ -11,8 +11,10 @@ void
 tew_values(EwOp op, const Value* x, const Value* y, Value* z, Size count)
 {
     // Table I TEW model: one flop and three value streams per non-zero.
-    obs::add("tew.flops", count);
-    obs::add("tew.bytes", 12 * count);
+    static const obs::metrics::Counter flops("tew.flops");
+    static const obs::metrics::Counter bytes("tew.bytes");
+    flops.add(count);
+    bytes.add(12 * count);
     // Pure streaming: three sequential value arrays, no gathers, so no
     // software prefetch — the hardware stride prefetcher owns this one.
     const simd::Isa isa = simd::note_kernel();

@@ -1,7 +1,7 @@
 #include "kernels/ts.hpp"
 
 #include "common/parallel.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace pasta {
 
@@ -9,8 +9,10 @@ void
 ts_values(TsOp op, const Value* x, Value* y, Size count, Value s)
 {
     // Table I TS model: one flop and two value streams per non-zero.
-    obs::add("ts.flops", count);
-    obs::add("ts.bytes", 8 * count);
+    static const obs::metrics::Counter flops("ts.flops");
+    static const obs::metrics::Counter bytes("ts.bytes");
+    flops.add(count);
+    bytes.add(8 * count);
     if (op == TsOp::kAdd) {
         parallel_for_ranges(0, count, [&](Size first, Size last) {
             for (Size i = first; i < last; ++i)

@@ -2,11 +2,25 @@
 
 #include "common/error.hpp"
 #include "core/convert.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
+
+namespace {
+
+/// Table I TTM model counters, once per kernel call.
+void
+note_ttm(Size flops, Size bytes)
+{
+    static const obs::metrics::Counter flops_counter("ttm.flops");
+    static const obs::metrics::Counter bytes_counter("ttm.bytes");
+    flops_counter.add(flops);
+    bytes_counter.add(bytes);
+}
+
+}  // namespace
 
 CooTtmPlan
 ttm_plan_coo(const CooTensor& x, Size mode, Size rank)
@@ -55,13 +69,11 @@ ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out,
     PASTA_CHECK_MSG(u.cols() == plan.rank, "matrix rank mismatch");
     PASTA_CHECK_MSG(out.num_sparse() == plan.fibers.num_fibers(),
                     "output stripe count mismatch");
-    if (obs::counters_enabled()) {
+    {
         const Size m = plan.sorted.nnz();
         const Size mf = plan.fibers.num_fibers();
         const Size r = plan.rank;
-        obs::counter("ttm.flops").add(2 * m * r);
-        obs::counter("ttm.bytes").add(4 * m * r + 4 * mf * r + 8 * m +
-                                      16 * mf);
+        note_ttm(2 * m * r, 4 * m * r + 4 * mf * r + 8 * m + 16 * mf);
     }
     const Value* xv = plan.sorted.values().data();
     const Index* kind = plan.sorted.mode_indices(plan.mode).data();
@@ -69,24 +81,16 @@ ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out,
     const Size rank = plan.rank;
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, plan.fibers.num_fibers(), schedule,
         [&](Size f) {
             Value* yb = out.stripe(f);
             simd::vfill(isa, yb, 0, rank);
-            Size issued = 0;
             for (Size p = fptr[f]; p < fptr[f + 1]; ++p) {
-                if (pf != 0 && p + pf < fptr[f + 1]) {
+                if (pf != 0 && p + pf < fptr[f + 1])
                     simd::prefetch_read(u.row(kind[p + pf]));
-                    ++issued;
-                }
                 simd::vaxpy(isa, yb, xv[p], u.row(kind[p]), rank);
             }
-            if (prefetches)
-                prefetches->add(issued);
         },
         16);
 }
@@ -163,12 +167,11 @@ ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
     const Size num_fibers = plan.fptr.size() - 1;
     PASTA_CHECK_MSG(out.num_sparse() == num_fibers,
                     "output stripe count mismatch");
-    if (obs::counters_enabled()) {
+    {
         const Size m = g.nnz();
         const Size r = plan.rank;
-        obs::counter("ttm.flops").add(2 * m * r);
-        obs::counter("ttm.bytes").add(4 * m * r + 4 * num_fibers * r +
-                                      8 * m + 8 * num_fibers);
+        note_ttm(2 * m * r,
+                 4 * m * r + 4 * num_fibers * r + 8 * m + 8 * num_fibers);
     }
     const Value* xv = g.values().data();
     const Index* kind = g.raw_indices(plan.mode).data();
@@ -176,24 +179,16 @@ ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
     const Size rank = plan.rank;
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, num_fibers, schedule,
         [&](Size f) {
             Value* yb = out.stripe(f);
             simd::vfill(isa, yb, 0, rank);
-            Size issued = 0;
             for (Size p = fptr[f]; p < fptr[f + 1]; ++p) {
-                if (pf != 0 && p + pf < fptr[f + 1]) {
+                if (pf != 0 && p + pf < fptr[f + 1])
                     simd::prefetch_read(u.row(kind[p + pf]));
-                    ++issued;
-                }
                 simd::vaxpy(isa, yb, xv[p], u.row(kind[p]), rank);
             }
-            if (prefetches)
-                prefetches->add(issued);
         },
         16);
 }

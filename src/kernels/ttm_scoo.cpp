@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
@@ -91,21 +91,15 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
 
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     const Size num_fibers = fptr.size() - 1;
     parallel_for(
         0, num_fibers, schedule,
         [&](Size f) {
             Value* yb = out.stripe(f);
-            Size issued = 0;
             for (Size i = fptr[f]; i < fptr[f + 1]; ++i) {
-                if (pf != 0 && i + pf < fptr[f + 1]) {
+                if (pf != 0 && i + pf < fptr[f + 1])
                     simd::prefetch_read(
                         u.row(x.sparse_index(slot, perm[i + pf])));
-                    ++issued;
-                }
                 const Size p = perm[i];
                 const Value* urow = u.row(x.sparse_index(slot, p));
                 const Value* xs = x.stripe(p);
@@ -132,8 +126,6 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
                         base[r * suffix_vol] += xval * urow[r];
                 }
             }
-            if (prefetches && issued)
-                prefetches->add(issued);
         },
         16);
     return out;
@@ -184,18 +176,15 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
     out_dims[lo] = static_cast<Index>(ra);
     out_dims[hi] = static_cast<Index>(rb);
 
-    if (obs::counters_enabled()) {
+    {
         // Both contractions run per stripe slot: 2 RaRb flops each.
-        obs::counter("ttm.flops").add(2 * x.num_sparse() * in_vol * ra *
-                                      rb);
-        obs::counter("ttm.bytes").add(4 * x.num_sparse() * in_vol +
-                                      4 * out_vol);
+        static const obs::metrics::Counter flops("ttm.flops");
+        static const obs::metrics::Counter bytes("ttm.bytes");
+        flops.add(2 * x.num_sparse() * in_vol * ra * rb);
+        bytes.add(4 * x.num_sparse() * in_vol + 4 * out_vol);
     }
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     const Index* ia = x.sparse_mode_indices(0).data();
     const Index* ib = x.sparse_mode_indices(1).data();
 
@@ -208,12 +197,10 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
     parallel_for_worker_ranges(
         0, x.num_sparse(), [&](int worker, Size first, Size last) {
             Value* D = privates[worker].data();
-            Size issued = 0;
             for (Size p = first; p < last; ++p) {
                 if (pf != 0 && p + pf < last) {
                     simd::prefetch_read(u_lo.row(ia[p + pf]));
                     simd::prefetch_read(u_hi.row(ib[p + pf]));
-                    issued += 2;
                 }
                 const Value* arow = u_lo.row(ia[p]);
                 const Value* brow = u_hi.row(ib[p]);
@@ -240,8 +227,6 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
                     }
                 }
             }
-            if (prefetches && issued)
-                prefetches->add(issued);
         });
     // Reduce worker copies into the first.
     Value* D = privates[0].data();

@@ -4,11 +4,26 @@
 
 #include "common/error.hpp"
 #include "core/convert.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
+
+namespace {
+
+/// Table I TTV model counters (flops = 2M, bytes = 12M + 12M_F), once
+/// per kernel call.
+void
+note_ttv(Size nnz, Size fibers)
+{
+    static const obs::metrics::Counter flops("ttv.flops");
+    static const obs::metrics::Counter bytes("ttv.bytes");
+    flops.add(2 * nnz);
+    bytes.add(12 * nnz + 12 * fibers);
+}
+
+}  // namespace
 
 CooTtvPlan
 ttv_plan_coo(const CooTensor& x, Size mode)
@@ -57,12 +72,7 @@ ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out,
                                      << plan.sorted.dim(plan.mode));
     PASTA_CHECK_MSG(out.nnz() == plan.fibers.num_fibers(),
                     "output nnz mismatch");
-    if (obs::counters_enabled()) {
-        const Size m = plan.sorted.nnz();
-        const Size mf = plan.fibers.num_fibers();
-        obs::counter("ttv.flops").add(2 * m);
-        obs::counter("ttv.bytes").add(12 * m + 12 * mf);
-    }
+    note_ttv(plan.sorted.nnz(), plan.fibers.num_fibers());
     const Value* xv = plan.sorted.values().data();
     const Index* kind = plan.sorted.mode_indices(plan.mode).data();
     const Value* vv = v.data();
@@ -70,9 +80,6 @@ ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out,
     const auto& fptr = plan.fibers.fptr;
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, plan.fibers.num_fibers(), schedule,
         [&](Size f) {
@@ -84,8 +91,6 @@ ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out,
                 const Size lim = std::min(first + pf, last);
                 for (Size p = first; p < lim; ++p)
                     simd::prefetch_read(vv + kind[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
             }
             yv[f] = simd::vdot_gather(isa, xv + first, kind + first, vv,
                                       last - first);
@@ -169,10 +174,7 @@ ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
                     "vector length mismatch");
     const Size num_fibers = plan.fptr.size() - 1;
     PASTA_CHECK_MSG(out.nnz() == num_fibers, "output nnz mismatch");
-    if (obs::counters_enabled()) {
-        obs::counter("ttv.flops").add(2 * g.nnz());
-        obs::counter("ttv.bytes").add(12 * g.nnz() + 12 * num_fibers);
-    }
+    note_ttv(g.nnz(), num_fibers);
     const Value* xv = g.values().data();
     const Index* kind = g.raw_indices(plan.mode).data();
     const Value* vv = v.data();
@@ -180,9 +182,6 @@ ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
     const auto& fptr = plan.fptr;
     const simd::Isa isa = simd::note_kernel();
     const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
         0, num_fibers, schedule,
         [&](Size f) {
@@ -192,8 +191,6 @@ ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
                 const Size lim = std::min(first + pf, last);
                 for (Size p = first; p < lim; ++p)
                     simd::prefetch_read(vv + kind[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
             }
             yv[f] = simd::vdot_gather(isa, xv + first, kind + first, vv,
                                       last - first);

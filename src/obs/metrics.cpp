@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
 #include "obs/trace.hpp"
@@ -190,20 +191,27 @@ namespace {
 
 std::mutex g_metrics_mutex;
 
-// unique_ptr values keep addresses stable across map growth, so cached
-// references survive registry mutation (the counters.cpp discipline).
-std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>&
+/// A registry cell on a cache line of its own: handles write cells from
+/// every worker thread, so no two cells (and no other data) share a line.
+template <typename T>
+struct alignas(64) Cell : std::atomic<T> {
+    using std::atomic<T>::atomic;
+};
+
+// unique_ptr values keep addresses stable across map growth, so handles
+// (Counter, Gauge, Histogram&) survive registry mutation.
+std::map<std::string, std::unique_ptr<Cell<std::uint64_t>>>&
 counter_map()
 {
-    static std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>
+    static std::map<std::string, std::unique_ptr<Cell<std::uint64_t>>>
         m;
     return m;
 }
 
-std::map<std::string, std::unique_ptr<std::atomic<double>>>&
+std::map<std::string, std::unique_ptr<Cell<double>>>&
 gauge_map()
 {
-    static std::map<std::string, std::unique_ptr<std::atomic<double>>> m;
+    static std::map<std::string, std::unique_ptr<Cell<double>>> m;
     return m;
 }
 
@@ -214,14 +222,32 @@ hist_map()
     return m;
 }
 
+/// Last decided label per key: a pointer to the "<key>=<value>" key
+/// string of counter_map() (map nodes never move), or null.
+std::map<std::string, std::unique_ptr<Cell<const std::string*>>>&
+last_label_map()
+{
+    static std::map<std::string,
+                    std::unique_ptr<Cell<const std::string*>>>
+        m;
+    return m;
+}
+
+/// The counter's map entry; the caller holds g_metrics_mutex.
+std::pair<const std::string, std::unique_ptr<Cell<std::uint64_t>>>&
+counter_entry_locked(const std::string& name)
+{
+    auto& entry = *counter_map().try_emplace(name).first;
+    if (!entry.second)
+        entry.second = std::make_unique<Cell<std::uint64_t>>(0);
+    return entry;
+}
+
 std::atomic<std::uint64_t>&
 counter_cell(const std::string& name)
 {
     std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    auto& slot = counter_map()[name];
-    if (!slot)
-        slot = std::make_unique<std::atomic<std::uint64_t>>(0);
-    return *slot;
+    return *counter_entry_locked(name).second;
 }
 
 std::atomic<double>&
@@ -230,7 +256,7 @@ gauge_cell(const std::string& name)
     std::lock_guard<std::mutex> lock(g_metrics_mutex);
     auto& slot = gauge_map()[name];
     if (!slot)
-        slot = std::make_unique<std::atomic<double>>(0.0);
+        slot = std::make_unique<Cell<double>>(0.0);
     return *slot;
 }
 
@@ -246,32 +272,32 @@ histogram(const std::string& name)
     return *slot;
 }
 
-void
-counter_add(const std::string& name, std::uint64_t v)
+Counter::Counter(const std::string& name) : cell_(&counter_cell(name)) {}
+
+Gauge::Gauge(const std::string& name) : cell_(&gauge_cell(name)) {}
+
+LabelCounter::LabelCounter(const std::string& key, const std::string& value)
 {
-    counter_cell(name).fetch_add(v, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(g_metrics_mutex);
+    auto& entry = counter_entry_locked(label_name(key, value));
+    cell_ = entry.second.get();
+    name_ = &entry.first;
+    auto& last = last_label_map()[key];
+    if (!last)
+        last = std::make_unique<Cell<const std::string*>>(nullptr);
+    last_ = last.get();
 }
 
-void
-gauge_set(const std::string& name, double v)
+std::string
+last_label(const std::string& key)
 {
-    gauge_cell(name).store(v, std::memory_order_relaxed);
-}
-
-void
-gauge_max(const std::string& name, double v)
-{
-    std::atomic<double>& cell = gauge_cell(name);
-    double cur = cell.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-void
-hist_record(const std::string& name, std::uint64_t v)
-{
-    histogram(name).record(v);
+    std::lock_guard<std::mutex> lock(g_metrics_mutex);
+    const auto it = last_label_map().find(key);
+    const std::string* name =
+        it == last_label_map().end()
+            ? nullptr
+            : it->second->load(std::memory_order_relaxed);
+    return name ? name->substr(key.size() + 1) : std::string();
 }
 
 MetricsSnapshot
@@ -298,6 +324,8 @@ reset_metrics()
         cell->store(0.0, std::memory_order_relaxed);
     for (auto& [name, hist] : hist_map())
         hist->reset();
+    for (auto& [key, last] : last_label_map())
+        last->store(nullptr, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -325,24 +353,6 @@ MetricsSnapshot::hist(const std::string& name) const
 // JSONL serialization
 
 namespace {
-
-void
-append_escaped(std::string& out, const std::string& s)
-{
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-}
 
 void
 append_double(std::string& out, double v)
@@ -375,7 +385,7 @@ snapshot_to_json(const MetricsSnapshot& snap)
     out += ",\"seq\":";
     append_u64(out, snap.seq);
     out += ",\"source\":\"";
-    append_escaped(out, snap.source);
+    json::append_escaped(out, snap.source);
     out += "\",\"counters\":{";
     bool first = true;
     for (const auto& [name, v] : snap.counters) {
@@ -383,7 +393,7 @@ snapshot_to_json(const MetricsSnapshot& snap)
             out += ',';
         first = false;
         out += '"';
-        append_escaped(out, name);
+        json::append_escaped(out, name);
         out += "\":";
         append_u64(out, v);
     }
@@ -394,7 +404,7 @@ snapshot_to_json(const MetricsSnapshot& snap)
             out += ',';
         first = false;
         out += '"';
-        append_escaped(out, name);
+        json::append_escaped(out, name);
         out += "\":";
         append_double(out, v);
     }
@@ -405,7 +415,7 @@ snapshot_to_json(const MetricsSnapshot& snap)
             out += ',';
         first = false;
         out += '"';
-        append_escaped(out, name);
+        json::append_escaped(out, name);
         out += "\":{\"count\":";
         append_u64(out, h.count);
         out += ",\"sum\":";
@@ -466,47 +476,8 @@ bool skip_value(Cursor& c);
 bool
 parse_string(Cursor& c, std::string& out)
 {
-    if (!c.consume('"'))
-        return false;
-    out.clear();
-    while (!c.eof()) {
-        const char ch = *c.p++;
-        if (ch == '"')
-            return true;
-        if (ch == '\\') {
-            if (c.eof())
-                return false;
-            const char esc = *c.p++;
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'u': {
-                if (c.end - c.p < 4)
-                    return false;
-                char hex[5] = {c.p[0], c.p[1], c.p[2], c.p[3], '\0'};
-                char* hend = nullptr;
-                const long code = std::strtol(hex, &hend, 16);
-                if (hend != hex + 4)
-                    return false;
-                c.p += 4;
-                // Control-range escapes are all this writer emits;
-                // anything else degrades to '?' rather than failing.
-                out += code < 0x80 ? static_cast<char>(code) : '?';
-                break;
-            }
-            default: return false;
-            }
-        } else {
-            out += ch;
-        }
-    }
-    return false;  // unterminated
+    c.ws();
+    return json::parse_string(c.p, c.end, out);
 }
 
 /// Lexes one number token (json number grammar, loosely) into `tok`.
@@ -868,12 +839,13 @@ struct ExporterState {
     /// Refreshes the pulled gauges and appends one snapshot line.
     void emit()
     {
-        gauge_set("mem.reserved",
-                  static_cast<double>(membudget::MemGovernor::instance().reserved()));
-        gauge_set("mem.peak",
-                  static_cast<double>(membudget::MemGovernor::instance().peak()));
-        gauge_set("obs.spans_dropped",
-                  static_cast<double>(obs::spans_dropped()));
+        static const Gauge reserved("mem.reserved");
+        static const Gauge peak("mem.peak");
+        static const Gauge dropped("obs.spans_dropped");
+        const auto& gov = membudget::MemGovernor::instance();
+        reserved.set(static_cast<double>(gov.reserved()));
+        peak.set(static_cast<double>(gov.peak()));
+        dropped.set(static_cast<double>(obs::spans_dropped()));
         MetricsSnapshot snap = snapshot_metrics();
         snap.ts = wall_now_s();
         snap.seq = ++seq;  // 1-based: "seq 0" stays "never exported"

@@ -1,14 +1,21 @@
 /// \file
-/// Live metrics: always-on counters, gauges, and log-linear HDR-style
-/// histograms, periodically exported as an append-only JSONL heartbeat.
+/// The metrics registry: always-on counters, gauges, and log-linear
+/// HDR-style histograms, periodically exported as an append-only JSONL
+/// heartbeat.  It is the suite's only registry.
 ///
-/// The trace/counters layer (counters.hpp, trace.hpp) is post-hoc: it
-/// accumulates while armed and is read once at exit.  Campaigns (PR 7)
-/// and serving runs (PR 9) made the interesting traffic long-running and
-/// multi-process — a run is a black box until it dies.  This registry is
-/// the live complement: recording is ALWAYS on (a few relaxed atomics
-/// per event; there is no per-nonzero call site, only per-job / per-trial
-/// ones), and a background exporter thread — armed via
+/// What lands here:
+///   - the Table I model counters of every kernel call ("<kernel>.flops",
+///     "<kernel>.bytes"; the bench harness sums the ".flops"/".bytes"
+///     deltas of a trial into its obs_flops/obs_bytes columns), plus
+///     "mttkrp.atomics", "gpusim.*", "sort.radix_*", "stream.partitions";
+///   - decision labels as per-value counters "<key>=<value>"
+///     ("mttkrp.variant=atomic", "simd.isa=avx2", "merge.path=...",
+///     "sort.path=...", "stream.variant=...");
+///   - serving, trial and campaign events and latency histograms.
+/// Recording is a relaxed atomic op on a handle resolved once (Counter,
+/// Gauge, Histogram&), and happens once per kernel call, job or trial —
+/// never per non-zero, fiber, block or chunk.  A background exporter
+/// thread — armed via
 ///   PASTA_METRICS=<path>[,interval_ms]
 /// — snapshots the registry every interval into `path` as one JSON
 /// object per line (fsync'd per snapshot), so `tail -f` and
@@ -24,13 +31,14 @@
 /// percentiles over millions of jobs without the unbounded vectors it
 /// used before.  Recording is lock-free after a shard's first touch:
 /// each histogram keeps 16 lazily-installed shards, threads hash onto a
-/// shard, and shards are summed on read — the counters.hpp discipline.
+/// shard, and shards are summed on read.
 ///
 /// The snapshot schema (parse_snapshot_line / merge_snapshots round-trip
 /// it) is what the campaign supervisor aggregates across shards: sum
 /// counters, merge histograms, max gauges.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -142,18 +150,93 @@ class Histogram {
 /// (the serving scheduler, bench loops) can cache it.
 Histogram& histogram(const std::string& name);
 
-/// counter += v (monotone event counts: jobs done, trials ok, ...).
-void counter_add(const std::string& name, std::uint64_t v);
+/// A counter resolved out of the registry once.  add() is one relaxed
+/// atomic add — no lock, no name lookup — safe from any thread.  Every
+/// per-kernel-call and per-job site holds its handles in function-local
+/// statics (or an enum-indexed array, see label_counters), so only the
+/// first call pays the registry mutex.  Copies share the cell.
+class Counter {
+  public:
+    explicit Counter(const std::string& name);
 
-/// gauge = v (instantaneous levels: resident cache bytes, ...).
-void gauge_set(const std::string& name, double v);
+    void add(std::uint64_t v = 1) const
+    {
+        cell_->fetch_add(v, std::memory_order_relaxed);
+    }
 
-/// gauge = max(gauge, v) (high-water marks: queue depth, mem peak, ...).
-void gauge_max(const std::string& name, double v);
+  private:
+    std::atomic<std::uint64_t>* cell_;
+};
 
-/// histogram(name).record(v) — one registry lookup per call; cache the
-/// Histogram& instead when recording per-job.
-void hist_record(const std::string& name, std::uint64_t v);
+/// A gauge resolved out of the registry once (the Counter discipline).
+class Gauge {
+  public:
+    explicit Gauge(const std::string& name);
+
+    /// gauge = v (instantaneous levels: resident cache bytes, ...).
+    void set(double v) const { cell_->store(v, std::memory_order_relaxed); }
+
+    /// gauge = max(gauge, v) (high-water marks: queue depth, ...).
+    void max(double v) const
+    {
+        double cur = cell_->load(std::memory_order_relaxed);
+        while (v > cur && !cell_->compare_exchange_weak(
+                              cur, v, std::memory_order_relaxed)) {
+        }
+    }
+
+  private:
+    std::atomic<double>* cell_;
+};
+
+/// Decision labels are counters too: every time a site decides, it adds
+/// one to "<key>=<value>" ("mttkrp.variant=atomic").  They then travel
+/// through snapshots, heartbeats and the campaign merge like any other
+/// counter, and a delta over a window says which values were chosen
+/// there.  Each key also remembers the value decided last (last_label),
+/// so a window that decided differently per mode reports the final one.
+inline std::string
+label_name(const std::string& key, const std::string& value)
+{
+    return key + "=" + value;
+}
+
+/// The handle for one (key, value) label: add() is a relaxed add on the
+/// value's counter plus a relaxed store of the key's last value.
+/// Constructing one takes the registry mutex: resolve once, except for
+/// open-valued labels decided once per long operation.
+class LabelCounter {
+  public:
+    LabelCounter(const std::string& key, const std::string& value);
+
+    void add() const
+    {
+        cell_->fetch_add(1, std::memory_order_relaxed);
+        last_->store(name_, std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<std::uint64_t>* cell_;
+    std::atomic<const std::string*>* last_;  ///< the key's last decision
+    const std::string* name_;                ///< registry-owned full name
+};
+
+/// One label counter per value of an enum-valued decision, indexed by
+/// the enum: label_counters<N>(key, name)[size_t(v)] counts
+/// "<key>=<name(v)>".  N is the number of enumerators (0..N-1).
+template <std::size_t N, typename Enum>
+std::array<LabelCounter, N>
+label_counters(const char* key, const char* (*name)(Enum))
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<LabelCounter, N>{
+            LabelCounter(key, name(static_cast<Enum>(I)))...};
+    }(std::make_index_sequence<N>{});
+}
+
+/// The value last decided under `key`; "" when none since the last
+/// reset_metrics().
+std::string last_label(const std::string& key);
 
 /// Point-in-time copy of the registry, plus the heartbeat envelope
 /// (wall-clock stamp, per-exporter sequence number, source label).
@@ -174,7 +257,8 @@ struct MetricsSnapshot {
 /// recording threads are quiescent).  ts/seq/source are left default.
 MetricsSnapshot snapshot_metrics();
 
-/// Zeroes every metric (names stay registered).  Test plumbing.
+/// Zeroes every metric and forgets the last labels (names stay
+/// registered).  Test plumbing.
 void reset_metrics();
 
 /// Serializes one snapshot as a single JSON line (no trailing newline):
@@ -212,8 +296,9 @@ struct ExporterOptions {
 
 /// Starts the background exporter: an immediate first snapshot, then one
 /// per interval, appended+fsync'd to opts.path.  Stops any previously
-/// running exporter first.  Each tick refreshes the governor gauges
-/// (mem.reserved, mem.peak) and obs.spans_dropped before snapshotting.
+/// running exporter first.  Each tick refreshes the memory governor's
+/// gauges (mem.reserved, mem.peak) and obs.spans_dropped before
+/// snapshotting; nothing else writes those names.
 /// Returns false when disarmed or the file cannot be opened.
 bool start_exporter(const ExporterOptions& opts, const std::string& source);
 

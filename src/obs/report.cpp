@@ -1,48 +1,35 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
-#include <sstream>
-
 #include "roofline/roofline.hpp"
 
 namespace pasta::obs {
 
 double
-delta_suffix_sum(const CountersSnapshot& before,
-                 const CountersSnapshot& after, const std::string& suffix)
+delta_suffix_sum(const metrics::MetricsSnapshot& before,
+                 const metrics::MetricsSnapshot& after,
+                 const std::string& suffix)
 {
     double sum = 0;
-    for (const auto& c : after.counters) {
-        if (c.name.size() < suffix.size() ||
-            c.name.compare(c.name.size() - suffix.size(), suffix.size(),
-                           suffix) != 0)
+    for (const auto& [name, total] : after.counters) {
+        if (!name.ends_with(suffix))
             continue;
-        const CounterSample* prev = before.find(c.name);
-        const std::uint64_t base = prev ? prev->total : 0;
-        if (c.total > base)
-            sum += static_cast<double>(c.total - base);
+        const std::uint64_t base = before.counter(name);
+        if (total > base)
+            sum += static_cast<double>(total - base);
     }
     return sum;
 }
 
-double
-worker_imbalance(const CounterSample& sample)
+std::string
+window_label(const metrics::MetricsSnapshot& before,
+             const metrics::MetricsSnapshot& after, const std::string& key)
 {
-    std::uint64_t max_items = 0;
-    std::uint64_t total = 0;
-    int active = 0;
-    for (std::uint64_t w : sample.worker) {
-        if (w == 0)
-            continue;
-        max_items = std::max(max_items, w);
-        total += w;
-        ++active;
-    }
-    if (active == 0 || total == 0)
-        return 0.0;
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(active);
-    return static_cast<double>(max_items) / mean;
+    const std::string prefix = metrics::label_name(key, "");
+    for (auto it = after.counters.lower_bound(prefix);
+         it != after.counters.end() && it->first.starts_with(prefix); ++it)
+        if (it->second > before.counter(it->first))
+            return metrics::last_label(key);
+    return std::string();
 }
 
 double
@@ -52,42 +39,6 @@ roofline_pct(double measured_gflops, double ai, const MachineSpec& spec)
         return 0.0;
     const double roof = roofline_performance_gflops(spec, ai);
     return roof > 0 ? 100.0 * measured_gflops / roof : 0.0;
-}
-
-std::string
-render_counter_report(const CountersSnapshot& snap)
-{
-    std::ostringstream out;
-    out << "counters:\n";
-    for (const auto& c : snap.counters) {
-        out << "  " << c.name << "  total=" << c.total;
-        if (c.max_value > 0)
-            out << "  max=" << c.max_value;
-        if (!c.worker.empty()) {
-            const double imb = worker_imbalance(c);
-            out << "  workers=" << c.worker.size();
-            if (imb > 0) {
-                out.precision(3);
-                out << "  imbalance=" << imb;
-            }
-        }
-        if (c.overflow > 0)
-            out << "  overflow=" << c.overflow;
-        out << "\n";
-    }
-    out << "labels:\n";
-    for (const auto& l : snap.labels) {
-        out << "  " << l.key << " = " << l.last << "  (";
-        bool first = true;
-        for (const auto& [value, n] : l.counts) {
-            if (!first)
-                out << ", ";
-            first = false;
-            out << value << " x" << n;
-        }
-        out << ")\n";
-    }
-    return out.str();
 }
 
 }  // namespace pasta::obs

@@ -1,5 +1,5 @@
 /// \file
-/// Efficiency reporting: joins counter-registry telemetry with measured
+/// Efficiency reporting: joins metrics-registry counters with measured
 /// runtimes and the Roofline machine model (paper §V-C).
 ///
 /// The bench harness snapshots the registry around each trial; the deltas
@@ -13,22 +13,24 @@
 
 #include <string>
 
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "roofline/machine.hpp"
 
 namespace pasta::obs {
 
-/// Sum of (after - before) totals over every counter whose name ends in
-/// `suffix` (".flops", ".bytes", ".atomics").  Counters absent from
-/// `before` contribute their full `after` total.
-double delta_suffix_sum(const CountersSnapshot& before,
-                        const CountersSnapshot& after,
+/// Sum of (after - before) over every counter whose name ends in
+/// `suffix` (".flops", ".bytes").  Counters absent from `before`
+/// contribute their full `after` value.
+double delta_suffix_sum(const metrics::MetricsSnapshot& before,
+                        const metrics::MetricsSnapshot& after,
                         const std::string& suffix);
 
-/// Load imbalance of one counter's per-worker totals: max/mean over the
-/// slots that did any work (1.0 = perfectly balanced).  Returns 0 when
-/// fewer than one worker recorded items.
-double worker_imbalance(const CounterSample& sample);
+/// The decision label `key` as a window took it: metrics::last_label(key)
+/// when some "<key>=<value>" counter grew between the snapshots, ""
+/// when the window made no such decision.
+std::string window_label(const metrics::MetricsSnapshot& before,
+                         const metrics::MetricsSnapshot& after,
+                         const std::string& key);
 
 /// Percent of the Roofline ceiling achieved: 100 x measured GFLOPS over
 /// the platform's attainable performance at arithmetic intensity `ai`
@@ -36,10 +38,5 @@ double worker_imbalance(const CounterSample& sample);
 /// any input is degenerate.
 double roofline_pct(double measured_gflops, double ai,
                     const MachineSpec& spec);
-
-/// Human-readable dump of a snapshot: counters with totals/maxima and
-/// per-counter imbalance, then labels with occurrence counts.  Used by
-/// drivers and tests; the machine-readable channel is the CSV/journal.
-std::string render_counter_report(const CountersSnapshot& snap);
 
 }  // namespace pasta::obs

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace pasta::obs {
@@ -38,15 +39,16 @@ mode_from_env()
         return TraceMode::kOff;
     if (std::strcmp(s, "off") == 0)
         return TraceMode::kOff;
-    if (std::strcmp(s, "counters") == 0)
-        return TraceMode::kCounters;
     if (std::strcmp(s, "spans") == 0)
         return TraceMode::kSpans;
-    if (std::strcmp(s, "full") == 0)
-        return TraceMode::kFull;
+    const bool retired =
+        std::strcmp(s, "counters") == 0 || std::strcmp(s, "full") == 0;
     PASTA_CHECK_MSG(false, "PASTA_TRACE='"
-                               << s
-                               << "' must be off, counters, spans, or full");
+                               << s << "' must be off or spans"
+                               << (retired ? "; counters are always "
+                                             "recorded, use spans for "
+                                             "the span trace"
+                                           : ""));
     return TraceMode::kOff;  // unreachable
 }
 
@@ -61,9 +63,7 @@ mode_name(TraceMode mode)
 {
     switch (mode) {
       case TraceMode::kOff: return "off";
-      case TraceMode::kCounters: return "counters";
       case TraceMode::kSpans: return "spans";
-      case TraceMode::kFull: return "full";
     }
     return "?";
 }
@@ -130,17 +130,11 @@ now_ns()
             .count());
 }
 
-/// Minimal JSON string escaping for span names (ASCII identifiers plus
-/// the occasional '/' and space from trial labels).
+/// Writes `s` with the suite's shared JSON string escaping.
 void
 write_escaped(std::FILE* f, const std::string& s)
 {
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            std::fputc('\\', f);
-        if (static_cast<unsigned char>(c) >= 0x20)
-            std::fputc(c, f);
-    }
+    std::fputs(json::escaped(s).c_str(), f);
 }
 
 /// One warning per process the first time an export sees dropped spans;

@@ -13,10 +13,10 @@
 /// baselines with tracing off.
 ///
 /// Arming comes from the PASTA_TRACE environment variable:
-///   off       nothing recorded (default; the timing path is untouched)
-///   counters  counter registry armed (see counters.hpp), spans off
-///   spans     spans armed, counters off
-///   full      both
+///   off    nothing recorded (default; the timing path is untouched)
+///   spans  spans armed
+/// Counters and decision labels are not part of this switch: they are
+/// always recorded into the metrics registry (metrics.hpp).
 ///
 /// Recording is lock-free after a thread's first span: each thread owns a
 /// fixed-capacity ring buffer registered once under a mutex; a span is a
@@ -34,16 +34,16 @@
 namespace pasta::obs {
 
 /// Runtime instrumentation mode (PASTA_TRACE).
-enum class TraceMode { kOff = 0, kCounters = 1, kSpans = 2, kFull = 3 };
+enum class TraceMode { kOff = 0, kSpans = 1 };
 
 /// Parses PASTA_TRACE; unset or empty means kOff, anything other than
-/// off/counters/spans/full throws PastaError.
+/// off/spans throws PastaError.
 TraceMode mode_from_env();
 
 /// Overrides the cached mode (tests and drivers).
 void set_mode(TraceMode mode);
 
-/// Human-readable mode name ("off", "counters", "spans", "full").
+/// Human-readable mode name ("off", "spans").
 const char* mode_name(TraceMode mode);
 
 namespace detail {
@@ -66,20 +66,11 @@ current_mode()
     return static_cast<TraceMode>(m);
 }
 
-/// True when PASTA_SPAN scopes record events (spans or full).
+/// True when PASTA_SPAN scopes record events.
 inline bool
 spans_enabled()
 {
-    const TraceMode m = current_mode();
-    return m == TraceMode::kSpans || m == TraceMode::kFull;
-}
-
-/// True when the counter registry accumulates (counters or full).
-inline bool
-counters_enabled()
-{
-    const TraceMode m = current_mode();
-    return m == TraceMode::kCounters || m == TraceMode::kFull;
+    return current_mode() == TraceMode::kSpans;
 }
 
 /// Span names are stored inline in the ring buffer (no allocation on the

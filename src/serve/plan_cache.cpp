@@ -5,7 +5,6 @@
 #include "common/membudget.hpp"
 #include "core/convert.hpp"
 #include "io/binary_io.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -57,6 +56,21 @@ plan_key(std::uint64_t fingerprint, ServeKernel kernel, ServeFormat format,
 }
 
 namespace {
+
+/// Cache metrics, resolved out of the registry once per process.
+struct CacheMetrics {
+    obs::metrics::Counter hit{"serve.cache_hit"};
+    obs::metrics::Counter miss{"serve.cache_miss"};
+    obs::metrics::Counter evict{"serve.cache_evict"};
+    obs::metrics::Gauge bytes{"serve.cache_bytes"};
+};
+
+const CacheMetrics&
+cache_metrics()
+{
+    static const CacheMetrics m;
+    return m;
+}
 
 /// Wraps a built plan so its governor reservation lives exactly as long
 /// as the last reference: a job holding the plan across an eviction
@@ -165,8 +179,7 @@ PlanCache::evict_locked(Shard& shard, std::uint64_t target)
         }
         shard.lru.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.cache_evict", 1);
-        obs::metrics::counter_add("serve.cache_evict", 1);
+        cache_metrics().evict.add();
     }
 }
 
@@ -180,8 +193,7 @@ PlanCache::get_or_build(
         *was_hit = false;
     if (!enabled()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.cache_miss", 1);
-        obs::metrics::counter_add("serve.cache_miss", 1);
+        cache_metrics().miss.add();
         return builder();
     }
     Shard& shard = shard_for(key);
@@ -193,8 +205,7 @@ PlanCache::get_or_build(
             shard.lru.splice(shard.lru.begin(), shard.lru,
                              it->second.lru_it);
             hits_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.cache_hit", 1);
-            obs::metrics::counter_add("serve.cache_hit", 1);
+            cache_metrics().hit.add();
             if (was_hit)
                 *was_hit = true;
             return it->second.plan;
@@ -215,16 +226,14 @@ PlanCache::get_or_build(
             shard.lru.splice(shard.lru.begin(), shard.lru,
                              it->second.lru_it);
             hits_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.cache_hit", 1);
-            obs::metrics::counter_add("serve.cache_hit", 1);
+            cache_metrics().hit.add();
             if (was_hit)
                 *was_hit = true;
             return it->second.plan;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::add("serve.cache_miss", 1);
-    obs::metrics::counter_add("serve.cache_miss", 1);
+    cache_metrics().miss.add();
     std::shared_ptr<const Plan> plan;
     try {
         plan = builder();
@@ -244,10 +253,8 @@ PlanCache::get_or_build(
             shard.bytes += plan->bytes;
             resident_.fetch_add(plan->bytes, std::memory_order_relaxed);
             evict_locked(shard, shard_budget_);
-            obs::metrics::gauge_set(
-                "serve.cache_bytes",
-                static_cast<double>(
-                    resident_.load(std::memory_order_relaxed)));
+            cache_metrics().bytes.set(static_cast<double>(
+                resident_.load(std::memory_order_relaxed)));
         }
     }
     return plan;
@@ -260,8 +267,7 @@ PlanCache::trim(std::uint64_t target_bytes)
         std::lock_guard<std::mutex> lock(shard->mutex);
         evict_locked(*shard, target_bytes);
     }
-    obs::metrics::gauge_set(
-        "serve.cache_bytes",
+    cache_metrics().bytes.set(
         static_cast<double>(resident_.load(std::memory_order_relaxed)));
 }
 

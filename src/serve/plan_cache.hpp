@@ -31,10 +31,9 @@
 /// with LRU eviction; an entry bigger than a shard's budget is evicted
 /// immediately, degrading that key to build-per-job.
 ///
-/// Counters (PASTA_TRACE=counters/full): serve.cache_hit,
-/// serve.cache_miss, serve.cache_evict; the same figures are also kept
-/// in plain atomics so bench_serving reports hit rates with tracing
-/// off.
+/// Metrics counters serve.cache_hit, serve.cache_miss, serve.cache_evict
+/// and the serve.cache_bytes gauge; the per-cache figures are also kept
+/// in plain atomics (stats()) for bench_serving's per-phase hit rates.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 #include "common/membudget.hpp"
 #include "common/parallel.hpp"
 #include "harness/fault.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -42,23 +41,24 @@ job_span(const char* stage, std::uint64_t id, std::uint64_t begin_ns,
                      end_ns > begin_ns ? end_ns - begin_ns : 0);
 }
 
-/// Live latency histograms fed per job (always on; the heartbeat
-/// exporter makes them visible mid-run).  Cached references: the
-/// registry lookup happens once per process, not per job.
-obs::metrics::Histogram&
-wait_hist()
-{
-    static obs::metrics::Histogram& h =
-        obs::metrics::histogram("serve.wait_us");
-    return h;
-}
+/// Live per-job metrics (always on; the heartbeat exporter makes them
+/// visible mid-run), resolved out of the registry once per process.
+struct ServeMetrics {
+    obs::metrics::Histogram& wait = obs::metrics::histogram("serve.wait_us");
+    obs::metrics::Histogram& exec = obs::metrics::histogram("serve.exec_us");
+    obs::metrics::Counter shed{"serve.shed"};
+    obs::metrics::Counter steal{"serve.steal"};
+    obs::metrics::Counter retry_oom{"serve.retry_oom"};
+    obs::metrics::Counter done{"serve.done"};
+    obs::metrics::Counter failed{"serve.failed"};
+    obs::metrics::Gauge queue_depth{"serve.queue_depth"};
+};
 
-obs::metrics::Histogram&
-exec_hist()
+const ServeMetrics&
+serve_metrics()
 {
-    static obs::metrics::Histogram& h =
-        obs::metrics::histogram("serve.exec_us");
-    return h;
+    static const ServeMetrics m;
+    return m;
 }
 
 }  // namespace
@@ -89,8 +89,7 @@ Scheduler::submit(std::shared_ptr<ServeJob> job)
     if (queued_.load(std::memory_order_relaxed) >=
         static_cast<std::int64_t>(options_.queue_bound)) {
         shed_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.shed", 1);
-        obs::metrics::counter_add("serve.shed", 1);
+        serve_metrics().shed.add();
         return false;
     }
     job->submit_ns = obs::trace_now_ns();
@@ -161,9 +160,7 @@ Scheduler::note_depth()
            !max_depth_.compare_exchange_weak(prev, depth,
                                              std::memory_order_relaxed))
         ;
-    obs::record_max("serve.queue_depth", depth);
-    obs::metrics::gauge_max("serve.queue_depth",
-                            static_cast<double>(depth));
+    serve_metrics().queue_depth.max(static_cast<double>(depth));
 }
 
 void
@@ -224,7 +221,7 @@ Scheduler::next_job(int worker, std::uint64_t& steal_state)
             continue;
         if (deques_[victim]->steal_top(job)) {
             stolen_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.steal", 1);
+            serve_metrics().steal.add();
             return job;
         }
     }
@@ -241,7 +238,7 @@ Scheduler::execute(ServeJob* job, int worker)
     if (job->start_ns == 0) {
         job->start_ns = obs::trace_now_ns();
         job_span("wait", job->id, job->submit_ns, job->start_ns);
-        wait_hist().record((job->start_ns - job->submit_ns) / 1000);
+        serve_metrics().wait.record((job->start_ns - job->submit_ns) / 1000);
     }
     ++job->attempts;
     // Intra-kernel parallel_for calls inside this job see the per-job
@@ -263,7 +260,7 @@ Scheduler::execute(ServeJob* job, int worker)
             job->degraded = true;
             job->error = e.what();
             oom_retries_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.retry_oom", 1);
+            serve_metrics().retry_oom.add();
             job->state.store(static_cast<int>(JobState::kQueued),
                              std::memory_order_release);
             queued_.fetch_add(1, std::memory_order_relaxed);
@@ -290,17 +287,15 @@ Scheduler::finish(ServeJob* job, JobState state)
 {
     job->done_ns = obs::trace_now_ns();
     job_span("exec", job->id, job->start_ns, job->done_ns);
-    exec_hist().record(job->done_ns > job->start_ns
+    serve_metrics().exec.record(job->done_ns > job->start_ns
                            ? (job->done_ns - job->start_ns) / 1000
                            : 0);
     if (state == JobState::kDone) {
         done_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.done", 1);
-        obs::metrics::counter_add("serve.done", 1);
+        serve_metrics().done.add();
     } else {
         failed_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.failed", 1);
-        obs::metrics::counter_add("serve.failed", 1);
+        serve_metrics().failed.add();
     }
     job->state.store(static_cast<int>(state), std::memory_order_release);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

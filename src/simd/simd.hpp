@@ -18,24 +18,24 @@
 ///      name a supported ISA.
 ///
 /// The chosen path is observable: every kernel calls note_kernel(),
-/// which stamps the "simd.isa" decision label and the "simd.width"
-/// high-water counter into the PR 5 registry, so the ISA a trial ran
-/// with lands in every CSV/journal row (variant suffix "_avx2" etc.).
+/// which counts the "simd.isa=<isa>" decision label and raises the
+/// "simd.width" high-water gauge in the metrics registry, so the ISA a
+/// trial ran with lands in every CSV/journal row (variant suffix "_avx2"
+/// etc.).
 ///
 /// Software prefetch: the gather-heavy streams (factor rows selected by
 /// non-zero indices, TTV vector gathers) issue __builtin_prefetch
 /// `prefetch_distance()` non-zeros ahead; the distance is tunable via
-/// $PASTA_SIMD_PREFETCH (default 8, 0 disables) and kernels report the
-/// issued prefetches under the "simd.prefetch" counter.
+/// $PASTA_SIMD_PREFETCH (default 8, 0 disables).
 #pragma once
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "obs/counters.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -179,18 +179,7 @@ prefetch_distance()
 {
     long v = detail::g_prefetch.load(std::memory_order_relaxed);
     if (v < 0) {
-        const char* s = std::getenv("PASTA_SIMD_PREFETCH");
-        if (s == nullptr || *s == '\0') {
-            v = 8;
-        } else {
-            char* end = nullptr;
-            v = std::strtol(s, &end, 10);
-            PASTA_CHECK_MSG(end != s && *end == '\0' && v >= 0 &&
-                                v <= 4096,
-                            "PASTA_SIMD_PREFETCH='"
-                                << s
-                                << "' is not an integer in [0, 4096]");
-        }
+        v = env_long("PASTA_SIMD_PREFETCH", 8, 0, 4096);
         detail::g_prefetch.store(v, std::memory_order_relaxed);
     }
     return static_cast<Size>(v);
@@ -218,19 +207,10 @@ prefetch_read(const void* p)
     __builtin_prefetch(p, 0, 3);
 }
 
-/// Stamps the active SIMD path into the counter registry: the
-/// "simd.isa" decision label (the bench harness appends it to the trial
-/// variant, e.g. "atomic_avx2") and the "simd.width" high-water lanes
-/// counter.  Call once per kernel invocation; gated like all counters.
-inline Isa
-note_kernel()
-{
-    const Isa isa = active_isa();
-    if (obs::counters_enabled()) {
-        obs::set_label("simd.isa", isa_name(isa));
-        obs::record_max("simd.width", isa_lanes(isa));
-    }
-    return isa;
-}
+/// Records the active SIMD path in the metrics registry: one count on
+/// the "simd.isa=<isa>" decision label (the bench harness appends it to
+/// the trial variant, e.g. "atomic_avx2") and the "simd.width" lanes
+/// high-water gauge.  Call once per kernel invocation.
+Isa note_kernel();
 
 }  // namespace pasta::simd

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/morton.hpp"
@@ -302,6 +303,42 @@ TEST(Error, PastaCheckMsgIncludesMessage)
         EXPECT_NE(std::string(e.what()).find("mode 7 bad"),
                   std::string::npos);
     }
+}
+
+TEST(Env, StrictNumbers)
+{
+    const char* name = "PASTA_TEST_ENV_KNOB";
+    const auto with = [name](const char* value, auto parse) {
+        ::setenv(name, value, 1);
+        const auto v = parse();
+        ::unsetenv(name);
+        return v;
+    };
+    const auto as_long = [name] { return env_long(name, 7, 0, 100); };
+    const auto as_double = [name] { return env_double(name, 0.5, 0, 10); };
+    const auto as_bytes = [name] { return env_bytes(name, 9); };
+    // Unset and empty fall back.
+    EXPECT_EQ(as_long(), 7);
+    EXPECT_EQ(with("", as_long), 7);
+    EXPECT_EQ(with("42", as_long), 42);
+    EXPECT_DOUBLE_EQ(with("2.5", as_double), 2.5);
+    EXPECT_DOUBLE_EQ(with(".5", as_double), 0.5);
+    EXPECT_EQ(as_bytes(), 9u);
+    EXPECT_EQ(with("3k", as_bytes), 3u << 10);
+    EXPECT_EQ(with("1G", as_bytes), 1u << 30);
+    for (const char* bad : {"-1", "+1", " 1", "1 ", "1x", "101", "abc",
+                            "99999999999999999999"})
+        EXPECT_THROW(with(bad, as_long), PastaError) << "'" << bad << "'";
+    for (const char* bad : {"-1", "+1", " 1", "1e", "11", "nan", "inf"})
+        EXPECT_THROW(with(bad, as_double), PastaError) << "'" << bad << "'";
+    for (const char* bad : {"-1", "+1", " 1", "1KB", "K",
+                            "99999999999999999999", "17179869184G"})
+        EXPECT_THROW(with(bad, as_bytes), PastaError) << "'" << bad << "'";
+    // A sign is part of the number where the range admits negatives.
+    ::setenv(name, "-1", 1);
+    EXPECT_EQ(env_long(name, 0, -1, 1), -1);
+    EXPECT_DOUBLE_EQ(env_double(name, 0, -1, 1), -1.0);
+    ::unsetenv(name);
 }
 
 TEST(Log, ThresholdFilters)

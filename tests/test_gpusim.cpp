@@ -62,6 +62,21 @@ TEST(Device, AtomicAddAccumulatesAcrossBlocks)
     EXPECT_FLOAT_EQ(total, 16.0f * 64.0f);
 }
 
+TEST(Device, CapacityEnvIsStrictAndTakesSuffixes)
+{
+    const auto capacity = [](const char* value) {
+        ::setenv("PASTA_GPUSIM_MEM_BYTES", value, 1);
+        return gpusim::DeviceMemory::capacity_from_env();
+    };
+    EXPECT_EQ(capacity("4096"), 4096u);
+    EXPECT_EQ(capacity("2M"), 2u << 20);
+    EXPECT_EQ(capacity("0"), 0u);  // unlimited
+    for (const char* bad : {"-1", "+8", " 8", "8Q"})
+        EXPECT_THROW(capacity(bad), PastaError) << "'" << bad << "'";
+    ::unsetenv("PASTA_GPUSIM_MEM_BYTES");
+    EXPECT_EQ(gpusim::DeviceMemory::capacity_from_env(), 16ULL << 30);
+}
+
 TEST(TimingModel, LptMakespanBalanced)
 {
     // 8 equal items over 4 bins: makespan = 2 items.

@@ -232,13 +232,15 @@ TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
 
 TEST_F(MetricsTest, RegistryRoundTrip)
 {
-    counter_add("t.jobs", 5);
-    counter_add("t.jobs", 7);
-    gauge_set("t.level", 3.5);
-    gauge_max("t.peak", 10.0);
-    gauge_max("t.peak", 4.0);  // lower: must not regress the max
-    hist_record("t.lat", 100);
-    hist_record("t.lat", 200);
+    const Counter jobs("t.jobs");
+    jobs.add(5);
+    jobs.add(7);
+    Gauge("t.level").set(3.5);
+    const Gauge peak("t.peak");
+    peak.max(10.0);
+    peak.max(4.0);  // lower: must not regress the max
+    histogram("t.lat").record(100);
+    histogram("t.lat").record(200);
 
     const MetricsSnapshot snap = snapshot_metrics();
     EXPECT_EQ(snap.counter("t.jobs"), 12u);
@@ -263,11 +265,12 @@ TEST_F(MetricsTest, RegistryRoundTrip)
 
 TEST_F(MetricsTest, JsonRoundTripPreservesEverything)
 {
-    counter_add("rt.count", 42);
-    gauge_set("rt.gauge", 1234.5);
-    hist_record("rt.hist", 7);
-    hist_record("rt.hist", 7);
-    hist_record("rt.hist", 900000);
+    Counter("rt.count").add(42);
+    Gauge("rt.gauge").set(1234.5);
+    Histogram& hist = histogram("rt.hist");
+    hist.record(7);
+    hist.record(7);
+    hist.record(900000);
     MetricsSnapshot snap = snapshot_metrics();
     snap.ts = 1754700000.25;
     snap.seq = 9;
@@ -291,6 +294,35 @@ TEST_F(MetricsTest, JsonRoundTripPreservesEverything)
     const HistSample* orig = snap.hist("rt.hist");
     ASSERT_NE(orig, nullptr);
     EXPECT_EQ(h->buckets, orig->buckets);
+}
+
+TEST_F(MetricsTest, LabelCountersRoundTripThroughHeartbeatAndMerge)
+{
+    const LabelCounter atomic("mttkrp.variant", "atomic");
+    atomic.add();
+    atomic.add();
+    LabelCounter("mttkrp.variant", "block-owner").add();
+    const LabelCounter avx2("simd.isa", "avx2");
+    for (int i = 0; i < 3; ++i)
+        avx2.add();
+    MetricsSnapshot a = snapshot_metrics();
+    a.source = "shard-a";
+    MetricsSnapshot a_back;
+    ASSERT_TRUE(parse_snapshot_line(snapshot_to_json(a), a_back));
+    EXPECT_EQ(a_back.counter("mttkrp.variant=atomic"), 2u);
+    EXPECT_EQ(a_back.counter("mttkrp.variant=block-owner"), 1u);
+    EXPECT_EQ(a_back.counter("simd.isa=avx2"), 3u);
+
+    MetricsSnapshot b;
+    b.counters["mttkrp.variant=atomic"] = 5;
+    b.counters["simd.isa=avx512"] = 1;
+    MetricsSnapshot b_back;
+    ASSERT_TRUE(parse_snapshot_line(snapshot_to_json(b), b_back));
+    const MetricsSnapshot merged = merge_snapshots({a_back, b_back}, "all");
+    EXPECT_EQ(merged.counter("mttkrp.variant=atomic"), 7u);
+    EXPECT_EQ(merged.counter("mttkrp.variant=block-owner"), 1u);
+    EXPECT_EQ(merged.counter("simd.isa=avx2"), 3u);
+    EXPECT_EQ(merged.counter("simd.isa=avx512"), 1u);
 }
 
 TEST_F(MetricsTest, ParseRejectsGarbageAndAcceptsUnknownKeys)
@@ -404,13 +436,13 @@ TEST_F(MetricsTest, ExporterWritesHeartbeatsAndFinalSnapshot)
         (std::filesystem::temp_directory_path() / "pasta_test_exp.jsonl")
             .string();
     std::remove(path.c_str());
-    counter_add("exp.before", 1);
+    Counter("exp.before").add(1);
     ExporterOptions opts;
     opts.path = path;
     opts.interval_s = 0.05;
     ASSERT_TRUE(start_exporter(opts, "unit"));
     EXPECT_TRUE(exporter_running());
-    counter_add("exp.during", 2);
+    Counter("exp.during").add(2);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     stop_exporter();
     EXPECT_FALSE(exporter_running());

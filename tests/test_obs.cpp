@@ -1,6 +1,7 @@
 // Tests for the instrumentation layer (src/obs): mode arming, span
-// recording/nesting/thread attribution, Chrome-trace export, the counter
-// registry, trial delta accounting, and the GPU-sim counter feed.
+// recording/nesting/thread attribution, Chrome-trace export, the always-on
+// kernel counters and decision labels in the metrics registry, trial
+// delta accounting, and the GPU-sim counter feed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,18 +11,26 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "gpusim/gpu_kernels.hpp"
 #include "gpusim/timing_model.hpp"
+#include "harness/journal.hpp"
 #include "kernels/mttkrp.hpp"
-#include "obs/counters.hpp"
+#include "kernels/ttv.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "roofline/machine.hpp"
+#include "simd/simd.hpp"
 
 namespace pasta::obs {
 namespace {
+
+using metrics::Counter;
+using metrics::MetricsSnapshot;
+using metrics::snapshot_metrics;
 
 /// Every test leaves the process disarmed; the registry and span
 /// buffers are process-global.
@@ -30,7 +39,7 @@ class ObsTest : public ::testing::Test {
     void SetUp() override
     {
         set_mode(TraceMode::kOff);
-        reset_counters();
+        metrics::reset_metrics();
         reset_spans();
     }
     void TearDown() override { set_mode(TraceMode::kOff); }
@@ -46,71 +55,103 @@ small_tensor(std::uint64_t seed)
 TEST_F(ObsTest, ModeNamesRoundTrip)
 {
     EXPECT_STREQ(mode_name(TraceMode::kOff), "off");
-    EXPECT_STREQ(mode_name(TraceMode::kCounters), "counters");
     EXPECT_STREQ(mode_name(TraceMode::kSpans), "spans");
-    EXPECT_STREQ(mode_name(TraceMode::kFull), "full");
 }
 
-TEST_F(ObsTest, OffRecordsNothing)
+TEST_F(ObsTest, RetiredTraceValuesAreRejected)
+{
+    for (const char* retired : {"counters", "full"}) {
+        ::setenv("PASTA_TRACE", retired, 1);
+        try {
+            (void)mode_from_env();
+            ADD_FAILURE() << "PASTA_TRACE=" << retired << " accepted";
+        } catch (const PastaError& e) {
+            EXPECT_NE(std::string(e.what()).find("always recorded"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ::setenv("PASTA_TRACE", "spans", 1);
+    EXPECT_EQ(mode_from_env(), TraceMode::kSpans);
+    ::unsetenv("PASTA_TRACE");
+    EXPECT_EQ(mode_from_env(), TraceMode::kOff);
+}
+
+TEST_F(ObsTest, OffRecordsNoSpans)
 {
     ASSERT_FALSE(spans_enabled());
-    ASSERT_FALSE(counters_enabled());
     {
         PASTA_SPAN("off.span");
-        add("off.flops", 100);
-        add_worker("off.items", 0, 5);
-        record_max("off.peak", 7);
-        set_label("off.label", "value");
     }
     EXPECT_TRUE(collect_spans().empty());
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_EQ(snap.value("off.flops"), 0);
-    EXPECT_EQ(snap.max_of("off.peak"), 0u);
-    EXPECT_EQ(snap.label("off.label"), "");
-    EXPECT_EQ(last_label("off.label"), "");
 }
 
-TEST_F(ObsTest, CountersAccumulateAndSnapshot)
+TEST_F(ObsTest, CountersLabelsAndGaugesAccumulate)
 {
-    set_mode(TraceMode::kCounters);
-    add("t.flops", 10);
-    add("t.flops", 20);
-    add_worker("t.items", 0, 4);
-    add_worker("t.items", 1, 12);
-    record_max("t.peak", 5);
-    record_max("t.peak", 50);
-    record_max("t.peak", 25);
-    set_label("t.variant", "alpha");
-    set_label("t.variant", "beta");
-    set_label("t.variant", "beta");
+    const Counter flops("t.flops");
+    flops.add(10);
+    flops.add(20);
+    const metrics::Gauge peak("t.peak");
+    peak.max(5);
+    peak.max(50);
+    peak.max(25);
+    metrics::LabelCounter("t.variant", "alpha").add();
+    metrics::LabelCounter("t.variant", "beta").add();
+    metrics::LabelCounter("t.variant", "beta").add();
 
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_EQ(snap.value("t.flops"), 30);
-    EXPECT_EQ(snap.max_of("t.peak"), 50u);
-    EXPECT_EQ(snap.label("t.variant"), "beta");
-    EXPECT_EQ(last_label("t.variant"), "beta");
-    const CounterSample* items = snap.find("t.items");
-    ASSERT_NE(items, nullptr);
-    EXPECT_EQ(items->total, 16u);
-    ASSERT_EQ(items->worker.size(), 2u);
-    EXPECT_EQ(items->worker[0], 4u);
-    EXPECT_EQ(items->worker[1], 12u);
-    // max/mean over {4, 12}: 12 / 8 = 1.5.
-    EXPECT_DOUBLE_EQ(worker_imbalance(*items), 1.5);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_EQ(snap.counter("t.flops"), 30u);
+    EXPECT_DOUBLE_EQ(snap.gauge("t.peak"), 50.0);
+    EXPECT_EQ(snap.counter("t.variant=alpha"), 1u);
+    EXPECT_EQ(snap.counter("t.variant=beta"), 2u);
 }
 
-TEST_F(ObsTest, DeltaSuffixSumIgnoresMaxCounters)
+TEST_F(ObsTest, HandleAddsFromEightThreadsSumExactly)
 {
-    set_mode(TraceMode::kCounters);
-    add("a.flops", 100);
-    const CountersSnapshot before = snapshot_counters();
-    add("a.flops", 50);
-    add("b.flops", 25);
-    add("a.bytes", 600);
-    record_max("c.peak_bytes", 4096);  // max-only: total stays 0
-    const CountersSnapshot after = snapshot_counters();
+    constexpr int kThreads = 8;
+    constexpr std::uint64_t kAdds = 100000;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([] {
+            // Each thread resolves its own handle: every copy shares
+            // the one registry cell.
+            const Counter items("mt.items");
+            for (std::uint64_t i = 0; i < kAdds; ++i)
+                items.add(3);
+        });
+    for (auto& t : threads)
+        t.join();
+    EXPECT_EQ(snapshot_metrics().counter("mt.items"),
+              kThreads * kAdds * 3);
+}
+
+TEST_F(ObsTest, DeltaSuffixSumAndWindowLabel)
+{
+    const Counter a_flops("a.flops");
+    a_flops.add(100);
+    metrics::LabelCounter("k.variant", "old").add();
+    const MetricsSnapshot before = snapshot_metrics();
+    a_flops.add(50);
+    Counter("b.flops").add(25);
+    Counter("a.bytes").add(600);
+    metrics::Gauge("c.peak_bytes").max(4096);  // gauges never sum
+    metrics::LabelCounter("k.variant", "y").add();
+    metrics::LabelCounter("k.variant", "y").add();
+    metrics::LabelCounter("k.variant", "x").add();
+    const MetricsSnapshot after = snapshot_metrics();
     EXPECT_DOUBLE_EQ(delta_suffix_sum(before, after, ".flops"), 75.0);
     EXPECT_DOUBLE_EQ(delta_suffix_sum(before, after, ".bytes"), 600.0);
+    // The value decided last in the window wins, however often the
+    // others were decided.
+    EXPECT_EQ(after.counter("k.variant=y"), 2u);
+    EXPECT_EQ(metrics::last_label("k.variant"), "x");
+    EXPECT_EQ(window_label(before, after, "k.variant"), "x");
+    // A key the window never decided reads "", even with a stale last.
+    metrics::LabelCounter("k.other", "stale").add();
+    const MetricsSnapshot later = snapshot_metrics();
+    EXPECT_EQ(window_label(later, snapshot_metrics(), "k.other"), "");
+    EXPECT_EQ(window_label(before, after, "absent.key"), "");
 }
 
 TEST_F(ObsTest, SpanNestingAndThreadAttribution)
@@ -245,68 +286,72 @@ TEST_F(ObsTest, DroppedSpanCountSurfacesInExportedTraceMeta)
               std::string::npos);
 }
 
-TEST_F(ObsTest, WorkerSlotsBeyondCapSpillToOverflowCell)
+TEST_F(ObsTest, KernelCallsRecordTableICountersWithTracingOff)
 {
-    set_mode(TraceMode::kCounters);
-    // 96 concurrent workers against the 64-slot cap: everything beyond
-    // the cap must land in the shared overflow cell, not vanish.
-    constexpr int kThreads = 96;
-    constexpr std::uint64_t kPerWorker = 5;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int w = 0; w < kThreads; ++w)
-        threads.emplace_back(
-            [w] { add_worker("ovf.items", w, kPerWorker); });
-    for (auto& t : threads)
-        t.join();
-
-    const CountersSnapshot snap = snapshot_counters();
-    const CounterSample* items = snap.find("ovf.items");
-    ASSERT_NE(items, nullptr);
-    EXPECT_EQ(items->total, kThreads * kPerWorker);
-    ASSERT_EQ(items->worker.size(),
-              static_cast<std::size_t>(kMaxWorkers));
-    std::uint64_t attributed = 0;
-    for (const std::uint64_t v : items->worker)
-        attributed += v;
-    EXPECT_EQ(attributed, kMaxWorkers * kPerWorker);
-    EXPECT_EQ(items->overflow,
-              (kThreads - kMaxWorkers) * kPerWorker);
-
-    reset_counters();
-    const CountersSnapshot cleared = snapshot_counters();
-    const CounterSample* after = cleared.find("ovf.items");
-    ASSERT_NE(after, nullptr);
-    EXPECT_EQ(after->overflow, 0u);
-    EXPECT_EQ(after->total, 0u);
-}
-
-TEST_F(ObsTest, KernelCountersMatchCostModel)
-{
-    set_mode(TraceMode::kCounters);
+    ::unsetenv("PASTA_TRACE");
+    set_mode(mode_from_env());
+    ASSERT_EQ(current_mode(), TraceMode::kOff);
     const CooTensor x = small_tensor(7);
+    const double n = static_cast<double>(x.order());
+    const double m = static_cast<double>(x.nnz());
     Rng rng(9);
     const Size rank = 4;
+    const double r = static_cast<double>(rank);
     std::vector<DenseMatrix> mats;
-    for (Size m = 0; m < x.order(); ++m)
-        mats.push_back(DenseMatrix::random(x.dim(m), rank, rng));
+    for (Size mode = 0; mode < x.order(); ++mode)
+        mats.push_back(DenseMatrix::random(x.dim(mode), rank, rng));
     FactorList factors;
-    for (const auto& m : mats)
-        factors.push_back(&m);
-    DenseMatrix out(x.dim(0), rank);
-    mttkrp_coo(x, factors, 0, out);
+    for (const auto& mat : mats)
+        factors.push_back(&mat);
+    const std::string isa =
+        metrics::label_name("simd.isa", simd::isa_name(simd::active_isa()));
 
-    const CountersSnapshot snap = snapshot_counters();
-    // Table I: MTTKRP-COO does N*M*R flops.
-    EXPECT_EQ(snap.value("mttkrp.flops"),
-              static_cast<double>(x.order() * x.nnz() * rank));
-    EXPECT_GT(snap.value("mttkrp.bytes"), 0);
-    EXPECT_NE(snap.label("mttkrp.variant"), "");
+    // TTV-COO: flops = 2M, bytes = 12M + 12M_F.
+    const CooTtvPlan plan = ttv_plan_coo(x, 0);
+    const DenseVector v = DenseVector::random(x.dim(0), rng);
+    CooTensor ttv_out = plan.out_pattern;
+    MetricsSnapshot before = snapshot_metrics();
+    ttv_exec_coo(plan, v, ttv_out);
+    MetricsSnapshot after = snapshot_metrics();
+    const double mf = static_cast<double>(plan.fibers.num_fibers());
+    EXPECT_EQ(delta_suffix_sum(before, after, ".flops"), 2 * m);
+    EXPECT_EQ(delta_suffix_sum(before, after, ".bytes"), 12 * m + 12 * mf);
+    EXPECT_EQ(after.counter(isa) - before.counter(isa), 1u);
+
+    // MTTKRP-COO: flops = NMR, bytes = 4NMR + 4(N+1)M.
+    DenseMatrix out(x.dim(0), rank);
+    before = snapshot_metrics();
+    const MttkrpVariant coo_pick = mttkrp_coo(x, factors, 0, out);
+    after = snapshot_metrics();
+    EXPECT_EQ(after.counter("mttkrp.flops") - before.counter("mttkrp.flops"),
+              static_cast<std::uint64_t>(n * m * r));
+    EXPECT_EQ(after.counter("mttkrp.bytes") - before.counter("mttkrp.bytes"),
+              static_cast<std::uint64_t>(4 * n * m * r + 4 * (n + 1) * m));
+    EXPECT_EQ(window_label(before, after, "mttkrp.variant"),
+              mttkrp_variant_name(coo_pick));
+    EXPECT_EQ(after.counter(isa) - before.counter(isa), 1u);
+
+    // MTTKRP-HiCOO: flops = NMR, bytes = 4NR min{n_b B, M} + (4+N)M +
+    // (4N+8) n_b.
+    const HiCooTensor hx = coo_to_hicoo(x, 3);
+    const double nb = static_cast<double>(hx.num_blocks());
+    const double block = static_cast<double>(hx.block_size());
+    before = snapshot_metrics();
+    const MttkrpVariant hicoo_pick = mttkrp_hicoo(hx, factors, 0, out);
+    after = snapshot_metrics();
+    EXPECT_EQ(after.counter("mttkrp.flops") - before.counter("mttkrp.flops"),
+              static_cast<std::uint64_t>(n * m * r));
+    EXPECT_EQ(after.counter("mttkrp.bytes") - before.counter("mttkrp.bytes"),
+              static_cast<std::uint64_t>(4 * n * r * std::min(nb * block, m) +
+                                         (4 + n) * m + (4 * n + 8) * nb));
+    const std::string variant =
+        metrics::label_name("mttkrp.variant", mttkrp_variant_name(hicoo_pick));
+    EXPECT_EQ(after.counter(variant) - before.counter(variant), 1u);
+    EXPECT_EQ(after.counter(isa) - before.counter(isa), 1u);
 }
 
 TEST_F(ObsTest, GpusimCountersRecordLaunchesAndTraffic)
 {
-    set_mode(TraceMode::kCounters);
     const CooTensor x = small_tensor(11);
     const CooTensor y = small_tensor(13);
     CooTensor z = x;
@@ -314,14 +359,64 @@ TEST_F(ObsTest, GpusimCountersRecordLaunchesAndTraffic)
         gpusim::tew_gpu_coo(x, y, EwOp::kAdd, z);
     (void)gpusim::estimate_seconds(gpusim::tesla_p100(), profile);
 
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_GE(snap.value("gpusim.launches"), 1);
-    EXPECT_GT(snap.value("gpusim.sim_threads"), 0);
-    EXPECT_GT(snap.value("gpusim.flops"), 0);
-    EXPECT_GT(snap.value("gpusim.bytes"), 0);
-    EXPECT_EQ(snap.value("gpusim.model_launches"), 1);
-    EXPECT_GT(snap.max_of("gpusim.mem_peak_bytes"), 0u);
-    EXPECT_LE(snap.max_of("gpusim.occupancy_pct"), 100u);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_GE(snap.counter("gpusim.launches"), 1u);
+    EXPECT_GT(snap.counter("gpusim.sim_threads"), 0u);
+    EXPECT_GT(snap.counter("gpusim.flops"), 0u);
+    EXPECT_GT(snap.counter("gpusim.bytes"), 0u);
+    EXPECT_EQ(snap.counter("gpusim.model_launches"), 1u);
+    EXPECT_GT(snap.gauge("gpusim.mem_peak_bytes"), 0.0);
+    EXPECT_LE(snap.gauge("gpusim.occupancy_pct"), 100.0);
+}
+
+/// Reads the "name" string of every span line of a spans.jsonl file.
+std::vector<std::string>
+span_names(const std::string& path)
+{
+    std::vector<std::string> names;
+    std::ifstream in(path);
+    std::string line;
+    const std::string key = "{\"name\":";
+    while (std::getline(in, line)) {
+        if (line.rfind(key, 0) != 0)
+            continue;
+        const char* p = line.data() + key.size();
+        std::string name;
+        EXPECT_TRUE(json::parse_string(p, line.data() + line.size(), name))
+            << line;
+        names.push_back(name);
+    }
+    return names;
+}
+
+TEST_F(ObsTest, JsonStringsRoundTripThroughSpansAndJournal)
+{
+    const std::string tricky = "q\"uote\\back\nnew\x01" "ctl";
+    set_mode(TraceMode::kSpans);
+    {
+        PASTA_SPAN(tricky);
+    }
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string jsonl = (dir / "pasta_test_escape.spans.jsonl").string();
+    const std::string trace = (dir / "pasta_test_escape.trace.json").string();
+    ASSERT_TRUE(write_spans_jsonl(jsonl));
+    ASSERT_TRUE(write_chrome_trace(trace));
+    EXPECT_EQ(span_names(jsonl), std::vector<std::string>{tricky});
+    // The Chrome trace puts one event per line, also led by "name".
+    EXPECT_EQ(span_names(trace), std::vector<std::string>{tricky});
+    std::remove(jsonl.c_str());
+    std::remove(trace.c_str());
+
+    harness::JournalEntry entry;
+    entry.tensor_id = "t";
+    entry.kernel = "TTV";
+    entry.format = "COO";
+    entry.error = tricky;
+    const std::string line = harness::to_json_line(entry);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    harness::JournalEntry parsed;
+    ASSERT_TRUE(harness::parse_json_line(line, parsed));
+    EXPECT_EQ(parsed.error, tricky);
 }
 
 TEST_F(ObsTest, RooflinePctAgainstMachineBalance)

@@ -165,6 +165,9 @@ TEST_F(Oocore, GovernorParsesEnvBudget)
     EXPECT_EQ(gov.budget(), std::uint64_t{1} << 30);
     EXPECT_THROW(with_env("abc"), PastaError);
     EXPECT_THROW(with_env("12Q"), PastaError);
+    // strtoull would wrap "-1" to 2^64-1: a sign or blank is an error.
+    for (const char* bad : {"-1", "+5", " 5", "5 "})
+        EXPECT_THROW(with_env(bad), PastaError) << "'" << bad << "'";
     // Unset leaves the previous budget untouched.
     ::unsetenv("PASTA_MEM_BYTES");
     gov.configure(777);

@@ -55,6 +55,8 @@ TEST(ServeOptions, EnvStrictValidation)
 
     ::setenv("PASTA_SERVE_CACHE_BYTES", "12Q", 1);
     EXPECT_THROW(ServeOptions::from_env(), PastaError);
+    ::setenv("PASTA_SERVE_CACHE_BYTES", "-1", 1);
+    EXPECT_THROW(ServeOptions::from_env(), PastaError);
     ::unsetenv("PASTA_SERVE_CACHE_BYTES");
 
     ::setenv("PASTA_SERVE_QUEUE", "0", 1);

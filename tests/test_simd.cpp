@@ -19,7 +19,7 @@
 #include "kernels/ttm_scoo.hpp"
 #include "methods/cpd.hpp"
 #include "methods/tucker.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/microkernels.hpp"
 
@@ -47,7 +47,6 @@ class SimdTest : public ::testing::Test {
     void TearDown() override
     {
         clean();
-        obs::set_mode(obs::TraceMode::kOff);
         set_num_threads(0);
     }
 
@@ -273,14 +272,17 @@ TEST_F(SimdTest, DotReductionsWithinToleranceOnRandomValues)
 
 TEST_F(SimdTest, NoteKernelStampsLabelAndWidth)
 {
-    obs::set_mode(obs::TraceMode::kCounters);
-    obs::reset_counters();
+    obs::metrics::reset_metrics();
     const simd::Isa isa = simd::best_supported_isa();
     simd::set_isa(isa);
     EXPECT_EQ(simd::note_kernel(), isa);
-    const obs::CountersSnapshot snap = obs::snapshot_counters();
-    EXPECT_EQ(snap.label("simd.isa"), simd::isa_name(isa));
-    EXPECT_EQ(snap.max_of("simd.width"), simd::isa_lanes(isa));
+    const obs::metrics::MetricsSnapshot snap =
+        obs::metrics::snapshot_metrics();
+    EXPECT_EQ(snap.counter(obs::metrics::label_name(
+                  "simd.isa", simd::isa_name(isa))),
+              1u);
+    EXPECT_DOUBLE_EQ(snap.gauge("simd.width"),
+                     static_cast<double>(simd::isa_lanes(isa)));
 }
 
 TEST_F(SimdTest, SetIsaRejectsUnsupported)
